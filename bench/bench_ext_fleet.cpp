@@ -45,7 +45,6 @@
 #include "core/scenario.h"
 #include "core/scenario_config.h"
 #include "fault/scenario_fault.h"
-#include "radar/batch.h"
 #include "radar/processor.h"
 #include "service/fleet_engine.h"
 #include "trajectory/human_walk.h"
@@ -159,23 +158,20 @@ std::vector<std::uint8_t> runScenarioBytes(bool sceneCache) {
   core::SpoofEpochRunner runner(scenario, system, ghostId, start, rng,
                                 /*schedule=*/nullptr, sceneCache);
 
-  radar::ProcessorScratch scratch;
-  core::SpoofEpochSample epoch;
   std::vector<std::uint8_t> bytes;
   const auto append = [&bytes](const void* p, std::size_t n) {
     const auto* b = static_cast<const std::uint8_t*>(p);
     bytes.insert(bytes.end(), b, b + n);
   };
   while (!runner.done()) {
-    radar::FrameWorkItem item;
-    if (!runner.produceFrame(epoch, item)) continue;
-    for (const auto& row : item.frame->samples) {
+    runner.runFrames(1);
+    const radar::Frame* diff = runner.lastDiffFrame();
+    if (diff == nullptr) continue;
+    for (const auto& row : diff->samples) {
       append(row.data(), row.size() * sizeof(radar::Complex));
     }
-    item.processor->processInto(*item.frame, *item.out, scratch);
-    append(item.out->power.data(),
-           item.out->power.size() * sizeof(double));
-    runner.consumeFrame(epoch);
+    const radar::RangeAngleMap& map = *runner.lastMap();
+    append(map.power.data(), map.power.size() * sizeof(double));
   }
   return bytes;
 }

@@ -30,21 +30,23 @@ std::optional<Observation> EavesdropperRadar::observe(
 
 std::optional<Observation> EavesdropperRadar::observeFrame(
     radar::Frame frame, double timestampS) {
-  const radar::Frame* diff = processor_.backgroundDiff(frame);
-  if (diff == nullptr) return std::nullopt;
-
   Observation obs;
   obs.timestampS = timestampS;
-  processor_.processInto(*diff, obs.map, processorScratch_);
-  observeDetections(obs.map, timestampS, obs.detections);
+  if (observeInto(frame, timestampS, obs.map, obs.detections) == nullptr) {
+    return std::nullopt;
+  }
   return obs;
 }
 
-void EavesdropperRadar::observeDetections(
-    const radar::RangeAngleMap& map, double timestampS,
+const radar::Frame* EavesdropperRadar::observeInto(
+    const radar::Frame& frame, double timestampS, radar::RangeAngleMap& map,
     std::vector<tracking::Detection>& detections) {
+  const radar::Frame* diff = processor_.backgroundDiff(frame);
+  if (diff == nullptr) return nullptr;
+  processor_.processInto(*diff, map, processorScratch_);
   detector_.detectInto(map, processor_, detectScratch_, detections);
   tracker_.update(detections, timestampS);
+  return diff;
 }
 
 radar::Frame EavesdropperRadar::senseRaw(

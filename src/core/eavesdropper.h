@@ -9,12 +9,9 @@
 /// The stack owns a radar::SceneCache (on by default; RFP_SCENE_CACHE=0
 /// or setSceneCacheEnabled(false) disables it) so repeated synthesis of a
 /// mostly-static scene re-sums memoized beat-tone rows instead of
-/// re-deriving them -- bit-identical either way (scene_cache.h). The
-/// observeFrame() pipeline is also exposed as split phases
-/// (backgroundDiff / processor().processInto / observeDetections) so the
-/// fleet service can batch the middle phase across scenarios
-/// (radar/batch.h) without a second code path: observe()/observeFrame()
-/// are themselves composed from the same pieces.
+/// re-deriving them -- bit-identical either way (scene_cache.h).
+/// observe()/observeFrame() and the allocation-free observeInto() run the
+/// same pipeline: background subtraction, processing, detection, tracking.
 
 #include <optional>
 #include <span>
@@ -87,19 +84,14 @@ class EavesdropperRadar {
     return processor_.process(frame);
   }
 
-  // --- Split phases of observeFrame() (batched execution) ---
-
-  /// Background-subtraction phase: nullptr primes (first frame),
-  /// otherwise the internally stored difference frame, valid until the
-  /// next call.
-  const radar::Frame* backgroundDiff(const radar::Frame& frame) {
-    return processor_.backgroundDiff(frame);
-  }
-
-  /// Detection + tracking tail of observeFrame() over a processed map:
-  /// fills \p detections (cleared first) and advances the tracker.
-  void observeDetections(const radar::RangeAngleMap& map, double timestampS,
-                         std::vector<tracking::Detection>& detections);
+  /// observeFrame() onto caller-owned storage: background-subtracts
+  /// \p frame, processes the difference into \p map, fills \p detections
+  /// (cleared first) and advances the tracker. Returns the internally
+  /// stored difference frame (valid until the next call), or nullptr on
+  /// the priming frame, which leaves \p map and \p detections untouched.
+  const radar::Frame* observeInto(const radar::Frame& frame,
+                                  double timestampS, radar::RangeAngleMap& map,
+                                  std::vector<tracking::Detection>& detections);
 
   /// Scene-cache controls. invalidateSceneCache() drops memoized rows
   /// (the harness calls it on frame-corrupting fault events).

@@ -18,7 +18,6 @@
 #include "core/scenario.h"
 #include "fault/fault_schedule.h"
 #include "fault/self_healing.h"
-#include "radar/batch.h"
 #include "trajectory/trace.h"
 #include "transport/control_link.h"
 
@@ -96,22 +95,13 @@ class SpoofEpochRunner {
   /// returns the metrics accumulated over exactly those frames.
   SpoofEpochSample runFrames(std::size_t maxFrames);
 
-  /// Split-phase stepping for cross-scenario batched execution. One
-  /// frame = produceFrame, then -- only when it returned true -- process
-  /// the item (radar::processFrameBatch across many runners, or
-  /// Processor::processInto solo) and call consumeFrame.
-  ///
-  /// produceFrame advances the clock and runs actuation, fault lookup,
-  /// scene snapshot, (cached) synthesis, ADC saturation, and background
-  /// subtraction; on true, \p item points at this runner's pending
-  /// difference frame and reused output map. False means nothing to
-  /// process this frame (dropped / priming); do not consume.
-  /// consumeFrame runs detection, tracking, the follower, and the error
-  /// metrics over the processed map. runFrames() is composed of exactly
-  /// these phases, so solo and batched execution cannot drift; batching
-  /// changes wall-clock only, never bits (DESIGN.md Sec. 14).
-  bool produceFrame(SpoofEpochSample& epoch, radar::FrameWorkItem& item);
-  void consumeFrame(SpoofEpochSample& epoch);
+  /// The last simulated frame's background-subtracted difference frame
+  /// and the range-angle map processed from it, for byte-level identity
+  /// checks. Valid after runFrames() until the next runFrames() call;
+  /// nullptr when that frame was dropped by a radar fault or primed
+  /// background subtraction.
+  const radar::Frame* lastDiffFrame() const;
+  const radar::RangeAngleMap* lastMap() const;
 
   /// Scene-cache statistics of the underlying eavesdropper stack.
   const radar::SceneCache& sceneCache() const;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 

@@ -19,14 +19,11 @@
 /// are LRU-bounded by the RFP_CACHE_MB budget (common/cache_budget.h).
 ///
 /// Zero-allocation path. processInto() + ProcessorScratch expose the same
-/// pipeline on caller-owned storage; processFrameBatch (radar/batch.h)
-/// builds on the per-antenna / per-row hooks below to run many frames
-/// through one pool pass over stacked contiguous buffers.
+/// pipeline on caller-owned storage.
 
 #include <cstddef>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/vec2.h"
@@ -143,16 +140,11 @@ class Processor {
   /// Inverse of toWorld: (range, angle-from-array-axis) of a world point.
   rfp::common::Polar toRadarPolar(rfp::common::Vec2 world) const;
 
-  // --- Batched-execution hooks (radar/batch.h). Each is a pure slice of
-  // the processInto() pipeline, bit-identical to the fused path. ---
-
-  /// Rows kept of the range FFT ([minRangeM, maxRangeM) window).
-  std::size_t numRangeBins() const { return lastBin_ - firstBin_; }
+  /// Length of the (zero-padded) per-antenna range FFT.
   std::size_t fftLength() const { return fftSize_; }
-  /// Row-major [angle][antenna] Eq. 2 steering matrix.
-  std::span<const Complex> steering() const { return steering_->w; }
-  /// Full cache entry including the transposed planes beamformRow wants.
-  const SteeringMatrix& steeringMatrix() const { return *steering_; }
+
+ private:
+  void checkShape(const Frame& frame) const;
 
   /// Fills \p out's axes/timestamp and zeroes its power grid (vectors
   /// reuse capacity); shape-checks \p frame against the config.
@@ -163,9 +155,6 @@ class Processor {
   /// column \p k of the [range][antenna] buffer \p spectraT.
   void fftAntennaInto(const Frame& frame, std::size_t k, Complex* fftSlot,
                       Complex* spectraT) const;
-
- private:
-  void checkShape(const Frame& frame) const;
 
   RadarConfig config_;
   ProcessorOptions options_;

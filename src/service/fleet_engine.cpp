@@ -1,10 +1,13 @@
 #include "service/fleet_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <new>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -27,6 +30,24 @@ std::int64_t nowNs() {
 /// scenario text under different ids decorrelate unless the client pins
 /// the seed.
 constexpr std::uint64_t kStreamJobSeed = 41;
+
+/// Runs body(i) once for every i in [0, n) on \p pool, one scenario per
+/// claim: each worker takes the next index from a shared cursor until
+/// none are left, so the uneven scenarios of a round balance across the
+/// workers instead of the round waiting on the slowest static chunk.
+/// Every index owns disjoint state and the callers read results in index
+/// order afterwards, so claim order cannot reach any output. Nested
+/// parallelFor calls inside body still run inline on the worker.
+template <typename Fn>
+void forEachClaimed(rfp::common::ThreadPool& pool, std::size_t n, Fn body) {
+  std::atomic<std::size_t> next{0};
+  pool.parallelFor(0, std::min(n, pool.size()), [&](std::size_t) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
+    }
+  });
+}
 
 }  // namespace
 
@@ -68,6 +89,10 @@ struct FleetEngine::Slot {
   // Watchdog handshake (the only cross-thread fields during a round).
   std::atomic<bool> running{false};
   std::atomic<bool> watchdogFlagged{false};
+
+  /// Wall time of the slot's last epoch [ns]; orders the next round's
+  /// claims only, never read by anything that reaches the output.
+  std::int64_t lastEpochNs = std::numeric_limits<std::int64_t>::max();
 };
 
 FleetEngine::FleetEngine(const FleetServiceConfig& config,
@@ -289,153 +314,29 @@ void FleetEngine::ensureJob(Slot& slot) {
   slot.job = std::move(job);
 }
 
-template <typename Fn>
-bool FleetEngine::contain(Slot& slot, Fn&& fn) noexcept {
+void FleetEngine::runOneEpoch(Slot& slot) noexcept {
+  // The containment ladder: any throw becomes the slot's staged FAILED
+  // outcome, never an exception unwinding into the pool.
   try {
-    fn();
-    return true;
+    ensureJob(slot);
+    EpochContext ctx(config_.epochWorkBudget);
+    slot.stagedMetrics = slot.job->runEpoch(ctx);
+    slot.stagedDone = slot.job->done();
+    if (slot.stagedDone) slot.stagedSummary = slot.job->summary();
+    slot.outcome = Slot::Outcome::kRan;
+    return;
   } catch (const ScenarioError& e) {
     slot.stagedReason = e.what();  // already "file:line: reason"
-    slot.outcome = Slot::Outcome::kFailedOut;
   } catch (const std::bad_alloc&) {
     slot.stagedReason =
         std::string(RFP_SERVICE_HERE) + ": allocation failure (std::bad_alloc)";
-    slot.outcome = Slot::Outcome::kFailedOut;
   } catch (const std::exception& e) {
     slot.stagedReason = std::string(RFP_SERVICE_HERE) + ": " + e.what();
-    slot.outcome = Slot::Outcome::kFailedOut;
   } catch (...) {
     slot.stagedReason =
         std::string(RFP_SERVICE_HERE) + ": non-standard exception";
-    slot.outcome = Slot::Outcome::kFailedOut;
   }
-  return false;
-}
-
-void FleetEngine::runEpochBody(Slot& slot) {
-  EpochContext ctx(config_.epochWorkBudget);
-  slot.stagedMetrics = slot.job->runEpoch(ctx);
-  slot.stagedDone = slot.job->done();
-  if (slot.stagedDone) slot.stagedSummary = slot.job->summary();
-  slot.outcome = Slot::Outcome::kRan;
-}
-
-void FleetEngine::runOneEpoch(Slot& slot) noexcept {
-  contain(slot, [&] {
-    ensureJob(slot);
-    runEpochBody(slot);
-  });
-}
-
-void FleetEngine::runBatchedRound(std::size_t n) {
-  /// Per-slot split-phase state for this round; owned by the step thread,
-  /// each element touched by at most one worker per pool pass.
-  struct BatchState {
-    BatchableJob* batch = nullptr;  ///< null: whole-epoch run or failed out
-    std::unique_ptr<EpochContext> ctx;
-    bool inEpoch = false;  ///< this slot's frame loop is still running
-    bool hasItem = false;  ///< produced a frame pending processing
-    radar::FrameWorkItem item{};
-  };
-  std::vector<BatchState> states(n);
-
-  // Phase 1 (parallel): lazy job construction + epoch begin. Chaos
-  // scripts and poison scenario files trip the same containment boundary
-  // as a whole-epoch run; jobs without a split-phase interface execute
-  // their full epoch here.
-  pool_->parallelFor(0, n, [this, &states](std::size_t i) {
-    Slot& slot = *active_[i];
-    BatchState& st = states[i];
-    const bool ok = contain(slot, [&] {
-      ensureJob(slot);
-      BatchableJob* batch = slot.job->batchable();
-      if (batch == nullptr) {
-        runEpochBody(slot);
-        return;
-      }
-      st.ctx = std::make_unique<EpochContext>(config_.epochWorkBudget);
-      batch->batchEpochBegin(*st.ctx);
-      st.batch = batch;
-      st.inEpoch = true;
-    });
-    if (!ok || !st.inEpoch) {
-      slot.running.store(false, std::memory_order_release);
-    }
-  });
-
-  std::vector<std::size_t> live;
-  live.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (states[i].inEpoch) live.push_back(i);
-  }
-
-  // Frame-lockstep loop: produce one frame of every live scenario in
-  // parallel, process the whole shard's frames as one coalesced batch
-  // (two planned pool passes), consume in parallel. Scenarios leave the
-  // loop at their own epoch boundary (or on a contained failure).
-  radar::BatchScratch scratch;
-  std::vector<radar::FrameWorkItem> items;
-  std::vector<std::size_t> next;
-  while (!live.empty()) {
-    pool_->parallelFor(0, live.size(), [this, &states,
-                                        &live](std::size_t k) {
-      const std::size_t i = live[k];
-      Slot& slot = *active_[i];
-      BatchState& st = states[i];
-      st.hasItem = false;
-      const bool ok = contain(slot, [&] {
-        if (!st.batch->batchProduce(*st.ctx, st.item, st.hasItem)) {
-          st.inEpoch = false;
-        }
-      });
-      if (!ok) {
-        st.inEpoch = false;
-        st.batch = nullptr;  // failed out: no epoch end for this slot
-        st.hasItem = false;
-      }
-    });
-
-    items.clear();
-    for (const std::size_t i : live) {
-      if (states[i].hasItem) items.push_back(states[i].item);
-    }
-    if (!items.empty()) radar::processFrameBatch(items, scratch, pool_);
-
-    pool_->parallelFor(0, live.size(), [this, &states,
-                                        &live](std::size_t k) {
-      const std::size_t i = live[k];
-      BatchState& st = states[i];
-      if (!st.hasItem) return;
-      Slot& slot = *active_[i];
-      if (!contain(slot, [&] { st.batch->batchConsume(); })) {
-        st.inEpoch = false;
-        st.batch = nullptr;
-        st.hasItem = false;
-      }
-    });
-
-    // Epoch end + compaction (step thread; summary() is once per
-    // scenario lifetime, so serial cost is negligible).
-    next.clear();
-    for (const std::size_t i : live) {
-      BatchState& st = states[i];
-      if (st.inEpoch) {
-        next.push_back(i);
-        continue;
-      }
-      Slot& slot = *active_[i];
-      if (st.batch != nullptr) {
-        contain(slot, [&] {
-          slot.stagedMetrics = st.batch->batchEpochEnd();
-          slot.stagedDone = slot.job->done();
-          if (slot.stagedDone) slot.stagedSummary = slot.job->summary();
-          slot.outcome = Slot::Outcome::kRan;
-        });
-      }
-      slot.running.store(false, std::memory_order_release);
-    }
-    live.swap(next);
-  }
+  slot.outcome = Slot::Outcome::kFailedOut;
 }
 
 void FleetEngine::retire(std::unique_ptr<Slot> slot) {
@@ -487,15 +388,23 @@ std::size_t FleetEngine::step() {
   // The pool phase runs without the engine lock (the watchdog scans the
   // slots meanwhile); active_ is not mutated until the post-pass below.
   lock.unlock();
+  // Longest epoch first: claiming the slots that took longest last round
+  // (new slots, which also build their job, lead) shortens the tail the
+  // round barrier waits on. Claim order never reaches the output.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [this](std::size_t a, std::size_t b) {
+                     return active_[a]->lastEpochNs > active_[b]->lastEpochNs;
+                   });
   roundStartNs_.store(nowNs(), std::memory_order_release);
-  if (config_.batchedExecution) {
-    runBatchedRound(n);
-  } else {
-    pool_->parallelFor(0, n, [this](std::size_t i) {
-      runOneEpoch(*active_[i]);
-      active_[i]->running.store(false, std::memory_order_release);
-    });
-  }
+  forEachClaimed(*pool_, n, [this, &order](std::size_t k) {
+    Slot& slot = *active_[order[k]];
+    const std::int64_t t0 = nowNs();
+    runOneEpoch(slot);
+    slot.lastEpochNs = nowNs() - t0;
+    slot.running.store(false, std::memory_order_release);
+  });
   roundStartNs_.store(0, std::memory_order_release);
   lock.lock();
 
@@ -899,10 +808,10 @@ std::uint64_t FleetEngine::reExecuteSlots(
   if (work.empty()) return 0;
   std::uint64_t total = 0;
   for (const auto& w : work) total += w.second;
-  // Each worker owns exactly one slot; no shared mutable state. The
-  // containment contract matches runOneEpoch: nothing a job throws may
-  // escape the worker.
-  pool_->parallelFor(0, work.size(), [this, &work](std::size_t i) {
+  // Each claimed index owns exactly one slot; no shared mutable state.
+  // The containment contract matches runOneEpoch: nothing a job throws
+  // may escape the worker.
+  forEachClaimed(*pool_, work.size(), [this, &work](std::size_t i) {
     Slot* slot = work[i].first;
     const std::uint64_t target = work[i].second;
     try {

@@ -14,12 +14,14 @@
 ///
 ///   *Deterministic scheduling.* One step() = one epoch round: admit from
 ///   the queue (priority order, FIFO within priority), run one epoch per
-///   active scenario in parallel (each instance owns all its mutable
-///   state; nested parallelism inside the sensing stack degrades to
-///   serial on the worker), then a sequential post-pass in scenario-id
-///   order ledgers every transition. Same seed + same submission sequence
-///   -> byte-identical service ledger, even under scripted chaos, and
-///   every *healthy* scenario's metrics are bit-identical to a solo run.
+///   active scenario in parallel (one pool task per scenario, workers
+///   claiming the next scenario as they free up; each instance owns all
+///   its mutable state; nested parallelism inside the sensing stack
+///   degrades to serial on the worker), then a sequential post-pass in
+///   scenario-id order ledgers every transition. Same seed + same
+///   submission sequence -> byte-identical service ledger, even under
+///   scripted chaos, and every *healthy* scenario's metrics are
+///   bit-identical to a solo run.
 ///
 ///   *Graceful overload.* Admission degrades through explicit tiers
 ///   (accept -> queue -> shed_lowest -> reject_new) instead of growing
@@ -230,18 +232,10 @@ class FleetEngine {
   /// Lazily constructs the slot's job (inside the caller's containment
   /// boundary; a poison scenario file throws the loader's diagnostic).
   void ensureJob(Slot& slot);
-  /// Runs \p fn under the containment ladder: any throw becomes the
-  /// slot's staged FAILED outcome. Returns false iff \p fn threw.
-  template <typename Fn>
-  bool contain(Slot& slot, Fn&& fn) noexcept;
-  /// The whole-epoch work unit shared by the per-scenario pool fan-out
-  /// and non-batchable jobs inside batched rounds.
-  void runEpochBody(Slot& slot);
+  /// One whole epoch of \p slot behind the containment boundary (any
+  /// throw becomes the slot's staged FAILED outcome): the pool task of an
+  /// epoch round.
   void runOneEpoch(Slot& slot) noexcept;
-  /// One epoch round over active_[0..n) in cross-scenario batched mode:
-  /// frame-lockstep produce / coalesced processFrameBatch / consume
-  /// (DESIGN.md Sec. 14). Same staged outcomes as the fan-out path.
-  void runBatchedRound(std::size_t n);
   void retire(std::unique_ptr<Slot> slot);
   const Slot* findSlot(std::uint64_t id) const;
   Slot* findSlot(std::uint64_t id);

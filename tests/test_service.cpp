@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/harness.h"
 #include "core/scenario_config.h"
 #include "service/protocol.h"
@@ -244,6 +246,79 @@ TEST(FleetService, LedgerByteIdenticalAcrossSameSeedRuns) {
   const std::string second = run();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+/// Home \p i of an uneven wave: room size, static clutter and radar shape
+/// all vary, so epochs cost differently and the order in which workers
+/// claim slots changes from run to run.
+std::string unevenHome(std::size_t i) {
+  const bool bigRadar = i % 3 == 0;
+  std::ostringstream s;
+  s << "room.name = uneven-" << i << "\n"
+    << "room.width = " << 7.0 + 1.5 * static_cast<double>(i % 4) << "\n"
+    << "room.height = " << 5 + i % 3 << "\n"
+    << "radar.sample_rate = " << (bigRadar ? 32000 : 16000) << "\n"
+    << "radar.antennas = " << (bigRadar ? 4 : 3) << "\n"
+    << "panel.count = 4\n";
+  for (std::size_t c = 0; c < i % 5; ++c) {
+    s << "clutter = " << 1.0 + static_cast<double>(c) << " "
+      << 1.5 + 0.5 * static_cast<double>(c) << " 0.8\n";
+  }
+  return s.str();
+}
+
+TEST(FleetService, SlotClaimOrderNeverReachesLedgerOrStreams) {
+  static_assert(sizeof(EpochMetrics) == 6 * 8, "memcmp needs no padding");
+  struct Output {
+    std::string ledger;
+    std::vector<std::vector<EpochMetrics>> streams;
+  };
+  const auto run = [](std::size_t threads) {
+    rfp::common::ThreadPool::setGlobalThreads(threads);
+    FleetServiceConfig config = testConfig();
+    config.maxActive = 6;  // above every pool size below
+    config.queueCapacity = 16;
+    config.epochFrames = 32;
+    FleetEngine engine(config);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t i = 0; i < 10; ++i) {
+      ScenarioSubmission s;
+      s.name = "uneven-" + std::to_string(i);
+      s.scenarioText = unevenHome(i);
+      s.seed = 500 + i;
+      if (i == 2) s.chaos.addEvent({1, fault::ScenarioFaultKind::kPoisonEpoch});
+      if (i == 5) s.chaos.addEvent({2, fault::ScenarioFaultKind::kStuckEpoch});
+      ids.push_back(engine.submit(s).scenarioId);
+    }
+    engine.runUntilIdle(/*maxRounds=*/4096);
+    EXPECT_EQ(engine.counters().completed, 8u);
+    EXPECT_EQ(engine.counters().failed, 2u);
+    Output out;
+    out.ledger = engine.ledger().serialize();
+    for (const std::uint64_t id : ids) {
+      out.streams.push_back(engine.metricsSince(id, 0));
+    }
+    return out;
+  };
+  const Output reference = run(1);
+  for (const std::size_t threads : {2u, 4u}) {
+    const Output other = run(threads);
+    ASSERT_EQ(reference.ledger.size(), other.ledger.size()) << threads;
+    EXPECT_EQ(std::memcmp(reference.ledger.data(), other.ledger.data(),
+                          reference.ledger.size()),
+              0)
+        << threads << " threads";
+    ASSERT_EQ(reference.streams.size(), other.streams.size());
+    for (std::size_t i = 0; i < reference.streams.size(); ++i) {
+      const auto& a = reference.streams[i];
+      const auto& b = other.streams[i];
+      ASSERT_EQ(a.size(), b.size()) << "home " << i;
+      ASSERT_FALSE(a.empty()) << "home " << i;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])), 0)
+          << "home " << i << " at " << threads << " threads";
+    }
+  }
+  rfp::common::ThreadPool::setGlobalThreads(0);
 }
 
 TEST(FleetService, LedgerPersistsWithIntegrityTrailer) {

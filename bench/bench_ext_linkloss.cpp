@@ -22,11 +22,15 @@
 /// budget guard keeps latency bounded) and keeps the fingerprint rate at
 /// or below the naive link's at every operating point, because stalls are
 /// replaced by schedule coasting and dark gaps by ledgered fade-outs.
+///
+/// The exit status is 0 iff every acceptance check holds. `--smoke` runs
+/// the same sweep and skips only the google-benchmark timing loop.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -204,7 +208,7 @@ void writeJson(const std::vector<SweepPoint>& sweep,
   std::fclose(out);
 }
 
-void printSweep() {
+int runSweep() {
   bench::printHeader(
       "Link loss -- spoofing fidelity & ghost detectability vs control-link "
       "quality (resilient transport vs naive replay)");
@@ -241,14 +245,16 @@ void printSweep() {
   writeJson(sweep, baselineMedian);
   std::printf("\n  wrote %s\n", kOutputPath);
 
-  // Acceptance shape checks (mirrors ISSUE/EXPERIMENTS.md):
+  // Acceptance shape checks (mirrors EXPERIMENTS.md):
+  int status = 0;
   const SweepPoint& at20 = find(0.2, true);
+  const bool medianHolds =
+      at20.medianLocationErrorM <= 2.0 * baselineMedian + 0.02;
   std::printf("  transport median at 20%% loss within 2x loss-free "
               "baseline: %s (%.1f cm vs %.1f cm)\n",
-              at20.medianLocationErrorM <= 2.0 * baselineMedian + 0.02
-                  ? "holds"
-                  : "VIOLATED",
+              medianHolds ? "holds" : "VIOLATED",
               100.0 * at20.medianLocationErrorM, 100.0 * baselineMedian);
+  if (!medianHolds) status = 1;
   bool fingerprintHolds = true;
   for (std::size_t i = 0; i + 1 < sweep.size(); i += 2) {
     const SweepPoint& naive = sweep[i];
@@ -259,6 +265,8 @@ void printSweep() {
   }
   std::printf("  transport fingerprint rate <= naive at every loss: %s\n",
               fingerprintHolds ? "holds" : "VIOLATED");
+  if (!fingerprintHolds) status = 1;
+  return status;
 }
 
 void BM_LinkLossSpoofRun(benchmark::State& state) {
@@ -279,7 +287,9 @@ BENCHMARK(BM_LinkLossSpoofRun)->Unit(benchmark::kMillisecond)->Iterations(3);
 }  // namespace
 
 int main(int argc, char** argv) {
-  printSweep();
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const int status = runSweep();
+  if (smoke || status != 0) return status;
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   return 0;

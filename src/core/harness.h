@@ -19,7 +19,7 @@
 #include "fault/fault_schedule.h"
 #include "fault/self_healing.h"
 #include "trajectory/trace.h"
-#include "transport/control_link.h"
+#include "transport/link.h"
 
 namespace rfp::core {
 

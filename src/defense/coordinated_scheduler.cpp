@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "common/constants.h"
 #include "common/det_hash.h"
 #include "common/thread_pool.h"
 #include "linalg/matrix.h"
 #include "tracking/hungarian.h"
-#include "transport/framing.h"
+#include "transport/frame.h"
 
 namespace rfp::defense {
 
@@ -358,12 +360,11 @@ void CoordinatedGhostScheduler::actuate(
     return;
   }
 
-  transport::LinkWatchdog& wd = rf.link.watchdog();
+  transport::LinkWatchdog& wd = rf.watchdog;
   if (wd.shouldAttempt(frame)) {
-    transport::ControlFrame ctrl;
-    ctrl.seq = frame;
-    ctrl.ghostId = ghostId;
-    ctrl.schedule.push_back(cmd0);
+    transport::Schedule schedule;
+    schedule.ghostId = ghostId;
+    schedule.commands.push_back(cmd0);
     const int depth = config_.transport.scheduleDepth - 1;
     for (int i = 1; i <= depth; ++i) {
       const double tAhead = t + static_cast<double>(i) * dt;
@@ -371,14 +372,17 @@ void CoordinatedGhostScheduler::actuate(
       const ControlCommand ahead = planCommand(idx, ghostAt(tAhead), tAhead,
                                                t, /*checkContinuity=*/false);
       if (ahead.decision == HealthDecision::kPaused) break;
-      ctrl.schedule.push_back(ahead);
+      schedule.commands.push_back(ahead);
     }
 
-    const transport::TransferResult r = rf.link.transfer(
-        frame, ctrl, transport::ChannelCondition::fromFaults(ff), dt);
-    if (r.delivered) {
+    const std::optional<transport::Frame> delivered = rf.link.transfer(
+        transport::encodeSchedule(frame, schedule),
+        transport::ChannelCondition::fromFaults(ff), dt);
+    std::optional<transport::Schedule> received;
+    if (delivered) received = transport::decodeSchedule(*delivered);
+    if (received.has_value()) {
       if (wd.onDelivery(frame)) ++rf.link.stats().reacquisitions;
-      rf.coastSchedule = r.frame->schedule;
+      rf.coastSchedule = std::move(received->commands);
       rf.scheduleBaseFrame = frame;
       rf.parkedStreak = 0;
       ControlCommand cmd = rf.coastSchedule.front();

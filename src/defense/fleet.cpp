@@ -136,7 +136,9 @@ ReflectorFleet::ReflectorFleet(const FleetConfig& config) : config_(config) {
     // salted seeds decorrelate the channels.
     const std::uint64_t linkSeed = rfp::common::splitmix64(
         r.schedule->config().seed ^ config_.transport.seedSalt);
-    r.link = transport::GhostControlLink(config_.transport, linkSeed);
+    r.link = transport::Link(config_.transport, linkSeed,
+                             transport::kControlStreamBase);
+    r.watchdog = transport::LinkWatchdog(config_.transport);
   }
 }
 
@@ -157,7 +159,7 @@ bool ReflectorFleet::updateHealth(double t) {
     const bool anyDead =
         std::any_of(believed.deadAntenna.begin(), believed.deadAntenna.end(),
                     [](std::uint8_t d) { return d != 0; });
-    const transport::LinkState link = r.link.watchdog().state();
+    const transport::LinkState link = r.watchdog.state();
 
     ReflectorHealth next = ReflectorHealth::kActive;
     if (allDead || r.parkedStreak >= config_.lostAfterParkedFrames) {

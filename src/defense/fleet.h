@@ -33,7 +33,6 @@
 #include "reflector/antenna_panel.h"
 #include "reflector/controller.h"
 #include "reflector/switched_reflector.h"
-#include "transport/control_link.h"
 #include "transport/link.h"
 
 namespace rfp::defense {
@@ -159,7 +158,8 @@ class ReflectorFleet {
     reflector::AntennaPanel panel;
     reflector::ReflectorHardware hardware{};
     std::shared_ptr<const fault::FaultSchedule> schedule;
-    transport::GhostControlLink link;
+    transport::Link link;
+    transport::LinkWatchdog watchdog;
     ReflectorHealth health = ReflectorHealth::kActive;
     int parkedStreak = 0;  ///< consecutive frames the link ended parked
 

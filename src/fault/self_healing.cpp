@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "common/constants.h"
 #include "common/det_hash.h"
@@ -171,11 +173,12 @@ ActuationOutcome SelfHealingActuator::actuateViaLink(
     const std::uint64_t seed = rfp::common::splitmix64(
         schedule_->config().seed ^ transport_.seedSalt ^
         rfp::common::splitmix64(static_cast<std::uint64_t>(ghostId)));
-    gs.link = transport::GhostControlLink(transport_, seed);
+    gs.link = transport::Link(transport_, seed, transport::kControlStreamBase);
+    gs.watchdog = transport::LinkWatchdog(transport_);
     gs.linkInit = true;
   }
   ActuationOutcome out;
-  transport::LinkWatchdog& wd = gs.link.watchdog();
+  transport::LinkWatchdog& wd = gs.watchdog;
 
   // Sender side (the Pi is healthy; only the link is not): plan this
   // frame's command plus the lookahead schedule, all against the belief the
@@ -189,10 +192,9 @@ ActuationOutcome SelfHealingActuator::actuateViaLink(
   }
 
   if (wd.shouldAttempt(frameIdx)) {
-    transport::ControlFrame frame;
-    frame.seq = frameIdx;
-    frame.ghostId = ghostId;
-    frame.schedule.push_back(cmd0);
+    transport::Schedule schedule;
+    schedule.ghostId = ghostId;
+    schedule.commands.push_back(cmd0);
     const int depth = std::min(transport_.scheduleDepth - 1,
                                static_cast<int>(lookaheadWorlds.size()));
     for (int i = 0; i < depth; ++i) {
@@ -200,17 +202,21 @@ ActuationOutcome SelfHealingActuator::actuateViaLink(
           planCommand(lookaheadWorlds[static_cast<std::size_t>(i)],
                       t + (i + 1) * dt, t, gs, /*checkContinuity=*/false);
       if (ahead.decision == HealthDecision::kPaused) break;
-      frame.schedule.push_back(ahead);
+      schedule.commands.push_back(ahead);
     }
 
-    const transport::TransferResult r = gs.link.transfer(
-        frameIdx, frame, transport::ChannelCondition::fromFaults(ff), dt);
-    if (r.delivered) {
+    const std::optional<transport::Frame> delivered = gs.link.transfer(
+        transport::encodeSchedule(frameIdx, schedule),
+        transport::ChannelCondition::fromFaults(ff), dt);
+    std::optional<transport::Schedule> received;
+    if (delivered) received = transport::decodeSchedule(*delivered);
+    if (received.has_value()) {
       if (wd.onDelivery(frameIdx)) ++gs.link.stats().reacquisitions;
-      gs.coastSchedule = r.frame->schedule;
+      gs.coastSchedule = std::move(received->commands);
       gs.scheduleBaseFrame = frameIdx;
       // The receiver actuates what it *decoded* (bit-identical to what was
-      // sent -- corrupted attempts never survive the CRC).
+      // sent -- corrupted attempts never survive the CRC, and a malformed
+      // schedule counts as a miss).
       ControlCommand cmd = gs.coastSchedule.front();
       if (gs.fadeLevel < 1.0) {
         // Fading back in after a park: human-plausible reappearance.
@@ -275,7 +281,7 @@ transport::LinkState SelfHealingActuator::linkState(int ghostId) const {
   if (it == state_.end() || !it->second.linkInit) {
     return transport::LinkState::kLinked;
   }
-  return it->second.link.watchdog().state();
+  return it->second.watchdog.state();
 }
 
 void SelfHealingActuator::radiate(const ControlCommand& cmd,

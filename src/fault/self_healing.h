@@ -38,7 +38,7 @@
 #include "env/scatterer.h"
 #include "fault/fault_schedule.h"
 #include "reflector/controller.h"
-#include "transport/control_link.h"
+#include "transport/link.h"
 
 namespace rfp::fault {
 
@@ -106,7 +106,8 @@ class SelfHealingActuator {
 
     // --- transport-mode state ---------------------------------------------
     bool linkInit = false;
-    transport::GhostControlLink link;
+    transport::Link link;
+    transport::LinkWatchdog watchdog;
     std::vector<reflector::ControlCommand> coastSchedule;
     std::uint64_t scheduleBaseFrame = 0;
     double fadeLevel = 1.0;  ///< 1 = full gain; ramps down while parked

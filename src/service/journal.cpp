@@ -8,7 +8,7 @@
 
 #include "common/atomic_io.h"
 #include "common/crc32.h"
-#include "service/wire_codec.h"
+#include "common/wire_codec.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -224,7 +224,7 @@ void writeFileCheckedInjected(const std::string& path, std::string_view body,
 
 namespace {
 
-namespace wc = rfp::service::codec;
+namespace wc = rfp::common::codec;
 
 /// Complete records larger than this are treated as corruption, not
 /// allocation requests: a flipped bit in a length prefix must not make
@@ -482,9 +482,8 @@ void JournalWriter::append(const JournalRecord& record) {
   const std::string payload = encodeJournalRecord(record);
   std::string framed;
   framed.reserve(payload.size() + 8);
-  codec::put<std::uint32_t>(framed,
-                            static_cast<std::uint32_t>(payload.size()));
-  codec::put<std::uint32_t>(framed, rfp::common::crc32(payload));
+  wc::put<std::uint32_t>(framed, static_cast<std::uint32_t>(payload.size()));
+  wc::put<std::uint32_t>(framed, rfp::common::crc32(payload));
   framed += payload;
   storage::appendBytes(path_, framed, injector_);
 }
@@ -511,8 +510,9 @@ JournalReadResult readJournal(const std::string& path) {
     }
     std::uint32_t len = 0;
     std::uint32_t crc = 0;
-    std::memcpy(&len, rest.data(), 4);
-    std::memcpy(&crc, rest.data() + 4, 4);
+    std::size_t header = 0;
+    wc::get(rest, header, &len);
+    wc::get(rest, header, &crc);
     if (len > kMaxRecordBytes) {
       result.corrupt = true;
       result.detail = "corrupt: implausible record length " +

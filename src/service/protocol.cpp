@@ -4,14 +4,19 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/wire_codec.h"
 #include "service/journal.h"
-#include "service/wire_codec.h"
 
 namespace rfp::service {
 
 namespace {
 
-namespace wc = rfp::service::codec;
+namespace wc = rfp::common::codec;
+
+transport::Frame message(std::uint64_t seq, MessageType type,
+                         std::string payload) {
+  return {seq, static_cast<std::uint16_t>(type), std::move(payload)};
+}
 
 }  // namespace
 
@@ -264,8 +269,9 @@ ServiceClient::ServiceClient(FleetService& service,
                              const transport::TransportConfig& transport,
                              std::uint64_t seed, double budgetDtS)
     : service_(&service),
-      uplink_(transport, seed),
-      downlink_(transport, seed ^ 0x9e3779b97f4a7c15ull),
+      uplink_(transport, seed, transport::kServiceStreamBase),
+      downlink_(transport, seed ^ 0x9e3779b97f4a7c15ull,
+                transport::kServiceStreamBase),
       budgetDtS_(budgetDtS),
       sessionId_(seed) {}
 
@@ -286,31 +292,28 @@ std::optional<std::uint64_t> ServiceClient::lastAckedEpoch(
 std::optional<SubmitOutcome> ServiceClient::submit(
     const ScenarioSubmission& submission,
     const transport::ChannelCondition& condition) {
-  transport::ServiceFrame request;
-  request.seq = nextUplinkSeq_++;
-  request.type = static_cast<std::uint16_t>(MessageType::kSubmit);
-  request.payload = encodeSubmission(submission);
-  const auto sent =
-      uplink_.transfer(request.seq, request, condition, budgetDtS_);
-  if (!sent.delivered) return std::nullopt;  // service never saw it
+  const auto sent = uplink_.transfer(
+      message(nextUplinkSeq_++, MessageType::kSubmit,
+              encodeSubmission(submission)),
+      condition, budgetDtS_);
+  if (!sent) return std::nullopt;  // service never saw it
 
-  auto delivered = decodeSubmission(sent.frame->payload);
+  auto delivered = decodeSubmission(sent->payload);
   if (!delivered.has_value()) return std::nullopt;  // defensive; CRC-clean
   const SubmitOutcome outcome = service_->handleSubmit(std::move(*delivered));
 
-  transport::ServiceFrame ack;
-  ack.seq = nextDownlinkSeq_++;
-  ack.type = static_cast<std::uint16_t>(MessageType::kSubmitAck);
-  ack.payload = encodeOutcome(outcome);
-  const auto acked = downlink_.transfer(ack.seq, ack, condition, budgetDtS_);
-  if (!acked.delivered) {
+  const auto acked = downlink_.transfer(
+      message(nextDownlinkSeq_++, MessageType::kSubmitAck,
+              encodeOutcome(outcome)),
+      condition, budgetDtS_);
+  if (!acked) {
     // Admitted but unconfirmed: the scenario runs, the client just does
     // not know its id yet (at-most-once visibility).
     unackedScenario_ = outcome.scenarioId;
     return std::nullopt;
   }
   unackedScenario_ = 0;
-  return decodeOutcome(acked.frame->payload);
+  return decodeOutcome(acked->payload);
 }
 
 std::size_t ServiceClient::poll(std::uint64_t scenarioId,
@@ -320,17 +323,15 @@ std::size_t ServiceClient::poll(std::uint64_t scenarioId,
       service_->collectReports(scenarioId, reportedTerminal_[scenarioId]);
   std::size_t dropped = 0;
   for (EpochReport& report : reports) {
-    transport::ServiceFrame frame;
-    frame.seq = nextDownlinkSeq_++;
-    frame.type = static_cast<std::uint16_t>(MessageType::kEpochReport);
-    frame.payload = encodeReport(report);
-    const auto result =
-        downlink_.transfer(frame.seq, frame, condition, budgetDtS_);
-    if (!result.delivered) {
+    const auto result = downlink_.transfer(
+        message(nextDownlinkSeq_++, MessageType::kEpochReport,
+                encodeReport(report)),
+        condition, budgetDtS_);
+    if (!result) {
       ++dropped;  // gap in the stream; the service moved on regardless
       continue;
     }
-    auto decoded = decodeReport(result.frame->payload);
+    auto decoded = decodeReport(result->payload);
     if (decoded.has_value()) {
       noteDelivered(*decoded);
       out.push_back(std::move(*decoded));
@@ -351,41 +352,34 @@ std::optional<ResumeAck> ServiceClient::resume(
   req.hasAcked = acked.has_value();
   req.lastAckedEpoch = acked.value_or(0);
 
-  transport::ServiceFrame request;
-  request.seq = nextUplinkSeq_++;
-  request.type = static_cast<std::uint16_t>(MessageType::kResume);
-  request.payload = encodeResume(req);
-  const auto sent =
-      uplink_.transfer(request.seq, request, condition, budgetDtS_);
-  if (!sent.delivered) return std::nullopt;
-  auto delivered = decodeResume(sent.frame->payload);
+  const auto sent = uplink_.transfer(
+      message(nextUplinkSeq_++, MessageType::kResume, encodeResume(req)),
+      condition, budgetDtS_);
+  if (!sent) return std::nullopt;
+  auto delivered = decodeResume(sent->payload);
   if (!delivered.has_value()) return std::nullopt;  // defensive; CRC-clean
 
   std::vector<EpochReport> replay;
   const ResumeAck serverAck = service_->handleResume(*delivered, replay);
 
-  transport::ServiceFrame ackFrame;
-  ackFrame.seq = nextDownlinkSeq_++;
-  ackFrame.type = static_cast<std::uint16_t>(MessageType::kResumeAck);
-  ackFrame.payload = encodeResumeAck(serverAck);
-  const auto ackResult =
-      downlink_.transfer(ackFrame.seq, ackFrame, condition, budgetDtS_);
-  if (!ackResult.delivered) return std::nullopt;
-  auto ack = decodeResumeAck(ackResult.frame->payload);
+  const auto ackResult = downlink_.transfer(
+      message(nextDownlinkSeq_++, MessageType::kResumeAck,
+              encodeResumeAck(serverAck)),
+      condition, budgetDtS_);
+  if (!ackResult) return std::nullopt;
+  auto ack = decodeResumeAck(ackResult->payload);
   if (!ack.has_value()) return std::nullopt;
 
   // Redelivery after a service recovery is at-least-once (the engine
   // replays its full retained history); the session's last-acked cursor
   // dedups, so what reaches the caller is exactly-once per epoch.
   for (EpochReport& report : replay) {
-    transport::ServiceFrame frame;
-    frame.seq = nextDownlinkSeq_++;
-    frame.type = static_cast<std::uint16_t>(MessageType::kEpochReport);
-    frame.payload = encodeReport(report);
-    const auto result =
-        downlink_.transfer(frame.seq, frame, condition, budgetDtS_);
-    if (!result.delivered) continue;  // gap; a later resume retries
-    auto decoded = decodeReport(result.frame->payload);
+    const auto result = downlink_.transfer(
+        message(nextDownlinkSeq_++, MessageType::kEpochReport,
+                encodeReport(report)),
+        condition, budgetDtS_);
+    if (!result) continue;  // gap; a later resume retries
+    auto decoded = decodeReport(result->payload);
     if (!decoded.has_value()) continue;
     if (!decoded->terminal && acked.has_value() &&
         decoded->metrics.epoch <= *acked) {

@@ -2,15 +2,15 @@
 
 /// \file protocol.h
 /// Request/response protocol of the fleet scenario service over the
-/// CRC-framed service transport (transport/service_wire.h): a client
+/// CRC-framed transport (transport/frame.h, transport/link.h): a client
 /// submits a scenario and then polls a stream of per-epoch privacy
-/// metrics until a terminal report arrives. Payload encoding follows the
-/// framing.h idiom (host-native memcpy fields; the link is simulated
-/// in-process), and every message rides a ServiceFrame whose CRC rejects
-/// corruption before any field is read.
+/// metrics until a terminal report arrives. Payloads use the shared byte
+/// codec (common/wire_codec.h: host-native memcpy fields; the link is
+/// simulated in-process), and every message rides a transport::Frame
+/// whose CRC rejects corruption before any field is read.
 ///
 /// Loss semantics: requests and acks retry/backoff inside
-/// ServiceLink::transfer; a request whose budget runs out is simply never
+/// transport::Link::transfer on the service hash streams; a request whose budget runs out is simply never
 /// seen by the service, and an epoch report that cannot be delivered is
 /// dropped (at-most-once streaming). A lossy client link therefore
 /// degrades that client's stream -- gaps in the epochs it sees -- while
@@ -34,11 +34,11 @@
 #include <vector>
 
 #include "service/fleet_engine.h"
-#include "transport/service_wire.h"
+#include "transport/link.h"
 
 namespace rfp::service {
 
-/// ServiceFrame type tags. Values are wire-stable: new messages append,
+/// transport::Frame type tags. Values are wire-stable: new messages append,
 /// existing tags never renumber (a v1 peer ignores tags it does not
 /// know; a v2 server answers a bad version with kVersionMismatch).
 enum class MessageType : std::uint16_t {
@@ -93,7 +93,7 @@ struct ResumeAck {
   std::uint64_t gapTo = 0;    ///< valid when status == kGap (inclusive)
 };
 
-/// Payload codecs (the ServiceFrame carries the bytes; its CRC guards
+/// Payload codecs (the transport::Frame carries the bytes; its CRC guards
 /// them). Decoders return std::nullopt on malformed payloads.
 std::string encodeSubmission(const ScenarioSubmission& submission);
 std::optional<ScenarioSubmission> decodeSubmission(std::string_view bytes);
@@ -198,8 +198,8 @@ class ServiceClient {
   void noteDelivered(const EpochReport& report);
 
   FleetService* service_;
-  transport::ServiceLink uplink_;
-  transport::ServiceLink downlink_;
+  transport::Link uplink_;
+  transport::Link downlink_;
   double budgetDtS_;
   std::uint64_t nextUplinkSeq_ = 1;
   std::uint64_t nextDownlinkSeq_ = 1;

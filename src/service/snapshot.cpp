@@ -4,14 +4,14 @@
 #include <stdexcept>
 
 #include "common/atomic_io.h"
+#include "common/wire_codec.h"
 #include "service/journal.h"
-#include "service/wire_codec.h"
 
 namespace rfp::service {
 
 namespace {
 
-namespace wc = rfp::service::codec;
+namespace wc = rfp::common::codec;
 
 constexpr std::uint32_t kSnapshotMagic = 0x534e5352;  // "RSNS"
 constexpr std::uint32_t kSnapshotVersion = 1;

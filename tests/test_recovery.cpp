@@ -29,7 +29,7 @@
 #include "service/scenario_job.h"
 #include "service/service_ledger.h"
 #include "service/snapshot.h"
-#include "transport/service_wire.h"
+#include "transport/link.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>

@@ -18,7 +18,7 @@
 #include "service/scenario_job.h"
 #include "service/service_ledger.h"
 #include "trajectory/human_walk.h"
-#include "transport/service_wire.h"
+#include "transport/frame.h"
 
 namespace rfp::service {
 namespace {
@@ -421,13 +421,13 @@ TEST(FleetService, HarnessTeardownMidEpochDoesNotRace) {
 }
 
 TEST(ServiceWire, FrameRoundTripAndCorruptionRejected) {
-  transport::ServiceFrame frame;
+  transport::Frame frame;
   frame.seq = 42;
   frame.type = 3;
   frame.payload = "fleet scenario service payload \x01\x02\x03";
-  const std::string wire = transport::encodeServiceFrame(frame);
+  const std::string wire = transport::encodeFrame(frame);
 
-  const auto decoded = transport::decodeServiceFrame(wire);
+  const auto decoded = transport::decodeFrame(wire);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->seq, frame.seq);
   EXPECT_EQ(decoded->type, frame.type);
@@ -439,27 +439,27 @@ TEST(ServiceWire, FrameRoundTripAndCorruptionRejected) {
     corrupted[byte] = static_cast<char>(
         static_cast<unsigned char>(corrupted[byte]) ^ 0x04);
     std::string error;
-    EXPECT_FALSE(transport::decodeServiceFrame(corrupted, &error).has_value())
+    EXPECT_FALSE(transport::decodeFrame(corrupted, &error).has_value())
         << "byte " << byte << " flip undetected";
   }
   // Truncation is rejected too.
   EXPECT_FALSE(
-      transport::decodeServiceFrame(std::string_view(wire).substr(0, 10))
+      transport::decodeFrame(std::string_view(wire).substr(0, 10))
           .has_value());
 }
 
 TEST(ServiceWire, FuzzedFramesNeverDecodeToGarbage) {
-  transport::ServiceFrame frame;
+  transport::Frame frame;
   frame.seq = 7;
   frame.type = static_cast<std::uint16_t>(MessageType::kEpochReport);
   frame.payload = encodeReport(EpochReport{});
-  const std::string wire = transport::encodeServiceFrame(frame);
+  const std::string wire = transport::encodeFrame(frame);
 
   // Every truncation length: either rejected, or (full length) decoded
   // bit-identically. No prefix may parse as a different message.
   for (std::size_t len = 0; len <= wire.size(); ++len) {
     const auto decoded =
-        transport::decodeServiceFrame(std::string_view(wire).substr(0, len));
+        transport::decodeFrame(std::string_view(wire).substr(0, len));
     if (len < wire.size()) {
       EXPECT_FALSE(decoded.has_value()) << "prefix of length " << len;
     } else {
@@ -475,7 +475,7 @@ TEST(ServiceWire, FuzzedFramesNeverDecodeToGarbage) {
     std::string corrupted = wire;
     corrupted[bit / 8] = static_cast<char>(
         static_cast<unsigned char>(corrupted[bit / 8]) ^ (1u << (bit % 8)));
-    EXPECT_FALSE(transport::decodeServiceFrame(corrupted).has_value())
+    EXPECT_FALSE(transport::decodeFrame(corrupted).has_value())
         << "bit " << bit << " flip undetected";
   }
 
@@ -486,7 +486,7 @@ TEST(ServiceWire, FuzzedFramesNeverDecodeToGarbage) {
     const std::size_t lenOffset = 4 + 2 + 8 + 2;  // magic, version, seq, type
     const std::uint32_t hugeLen = 0x7fffffffu;
     std::memcpy(&oversized[lenOffset], &hugeLen, sizeof(hugeLen));
-    EXPECT_FALSE(transport::decodeServiceFrame(oversized).has_value());
+    EXPECT_FALSE(transport::decodeFrame(oversized).has_value());
   }
 
   // Random mutation storm: seeded garbage of every size, plus random
@@ -508,10 +508,10 @@ TEST(ServiceWire, FuzzedFramesNeverDecodeToGarbage) {
         bytes[pos] = static_cast<char>(rng.uniformInt(0, 255));
       }
     }
-    const auto decoded = transport::decodeServiceFrame(bytes);
+    const auto decoded = transport::decodeFrame(bytes);
     if (decoded.has_value()) {
       // Astronomically unlikely to survive the CRC unless bit-identical.
-      EXPECT_EQ(transport::encodeServiceFrame(*decoded), wire);
+      EXPECT_EQ(transport::encodeFrame(*decoded), wire);
     }
   }
 }

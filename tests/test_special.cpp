@@ -1,6 +1,7 @@
 #include "common/special.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -62,10 +63,14 @@ TEST(Special, LogBinomialCoefficientMatchesSmallCases) {
             -std::numeric_limits<double>::infinity());
 }
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: a 32-bit n would leave four uninitialised bytes
+// before p and give the cases a different name on every run.
 struct BinomialCase {
-  int n;
+  std::int64_t n;
   double p;
 };
+static_assert(sizeof(BinomialCase) == sizeof(std::int64_t) + sizeof(double));
 
 class BinomialPmfTest : public ::testing::TestWithParam<BinomialCase> {};
 

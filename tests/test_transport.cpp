@@ -24,6 +24,7 @@
 #include "trajectory/human_walk.h"
 #include "transport/frame.h"
 #include "transport/link.h"
+#include "golden_hash.h"
 
 namespace rfp::transport {
 namespace {
@@ -448,24 +449,7 @@ TEST(TransportIntegration, TransportBeatsNaiveReplayOnLossyLink) {
 // a reordered draw or a changed retry/backoff rule across builds.
 // ---------------------------------------------------------------------------
 
-struct GoldenHash {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void add(std::uint64_t v) { h = rfp::common::splitmix64(h ^ v); }
-  void add(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    add(bits);
-  }
-  void add(const LinkStats& s) {
-    for (long v : {s.attempts, s.retransmissions, s.timeouts,
-                   s.framesDelivered, s.framesMissed, s.lostInFlight,
-                   s.corruptedDetected, s.reordersRejected,
-                   s.duplicatesRejected, s.coastFrames, s.parkedFrames,
-                   s.reacquisitions}) {
-      add(static_cast<std::uint64_t>(v));
-    }
-  }
-};
+using rfp::testing::GoldenHash;
 
 ChannelCondition goldenChannel() {
   ChannelCondition c;

@@ -12,11 +12,15 @@
 /// sharply with intensity (dark frames, teleporting phantoms, saturation
 /// spurs); with recovery enabled it stays within ~2x the fault-free
 /// baseline even past 20% faulted frames, trading error for brief pauses.
+///
+/// The exit status is 0 iff every acceptance check holds. `--smoke` runs
+/// the same sweep and skips only the google-benchmark timing loop.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -153,7 +157,7 @@ void writeJson(const std::vector<SweepPoint>& sweep, double baselineMedianM,
   std::fclose(out);
 }
 
-void printSweep() {
+int runSweep() {
   bench::printHeader(
       "Robustness -- spoofing accuracy vs hardware fault intensity "
       "(self-healing on/off)");
@@ -194,22 +198,25 @@ void printSweep() {
     }
     throw std::runtime_error("sweep point missing");
   };
+  int status = 0;
   const SweepPoint& worstOff = find(0.4, false);
   const SweepPoint& midOn = find(0.2, true);
+  const bool offGrows =
+      worstOff.medianLocationErrorM > 2.0 * baselineMedian;
   std::printf("  recovery-off error grows with intensity: %s "
               "(%.1f cm -> %.1f cm)\n",
-              worstOff.medianLocationErrorM > 2.0 * baselineMedian
-                  ? "holds"
-                  : "VIOLATED",
-              100.0 * baselineMedian,
+              offGrows ? "holds" : "VIOLATED", 100.0 * baselineMedian,
               100.0 * worstOff.medianLocationErrorM);
+  if (!offGrows) status = 1;
+  const bool onHolds =
+      midOn.medianLocationErrorM <= 2.0 * baselineMedian + 0.02;
   std::printf("  recovery-on median within 2x baseline at %.0f%% faulted "
               "frames: %s (%.1f cm vs %.1f cm baseline)\n",
               100.0 * midOn.faultedFrameFraction,
-              midOn.medianLocationErrorM <= 2.0 * baselineMedian + 0.02
-                  ? "holds"
-                  : "VIOLATED",
+              onHolds ? "holds" : "VIOLATED",
               100.0 * midOn.medianLocationErrorM, 100.0 * baselineMedian);
+  if (!onHolds) status = 1;
+  return status;
 }
 
 void BM_FaultedSpoofRun(benchmark::State& state) {
@@ -229,7 +236,9 @@ BENCHMARK(BM_FaultedSpoofRun)->Unit(benchmark::kMillisecond)->Iterations(3);
 }  // namespace
 
 int main(int argc, char** argv) {
-  printSweep();
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const int status = runSweep();
+  if (smoke || status != 0) return status;
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -3,46 +3,19 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "common/constants.h"
 #include "common/det_hash.h"
 #include "common/thread_pool.h"
 #include "linalg/matrix.h"
 #include "tracking/hungarian.h"
-#include "transport/frame.h"
 
 namespace rfp::defense {
 
 using rfp::common::Vec2;
-using reflector::ControlCommand;
-using reflector::HealthDecision;
 
 namespace {
-
-/// Phase-shifter DAC model (same as the self-healing actuator's): quantize
-/// to \p bits and OR in stuck-at-1 bits.
-double quantizePhase(double phaseRad, int bits, unsigned stuckMask) {
-  const double twoPi = 2.0 * rfp::common::pi();
-  const double levels = static_cast<double>(1u << static_cast<unsigned>(bits));
-  double frac = phaseRad / twoPi;
-  frac -= std::floor(frac);
-  auto code = static_cast<unsigned>(std::lround(frac * levels)) %
-              static_cast<unsigned>(levels);
-  code |= stuckMask;
-  code %= static_cast<unsigned>(levels);
-  return static_cast<double>(code) * twoPi / levels;
-}
-
-bool commandFinite(const ControlCommand& cmd) {
-  return std::isfinite(cmd.fSwitchHz) && std::isfinite(cmd.gain) &&
-         std::isfinite(cmd.phaseOffsetRad) &&
-         std::isfinite(cmd.spoofedRangeM) &&
-         std::isfinite(cmd.intendedWorld.x) &&
-         std::isfinite(cmd.intendedWorld.y);
-}
 
 /// Trajectory sample count for the assignment cost (spread evenly over the
 /// ghost's points; enough to average out per-antenna quantization).
@@ -147,7 +120,7 @@ void CoordinatedGhostScheduler::resolveAssignments(double t,
                 startTimeS_ + pointDtS_ * static_cast<double>(gi);
             const auto cmd = controller.commandForConstrained(g, tg,
                                                               constraints);
-            if (cmd.has_value() && commandFinite(*cmd)) {
+            if (cmd.has_value() && fault::commandFinite(*cmd)) {
               sum += distance(controller.apparentWorld(*cmd), g);
             } else {
               sum += kInfeasibleCost;
@@ -166,9 +139,9 @@ void CoordinatedGhostScheduler::resolveAssignments(double t,
   }
 
   // Apply: a reflector whose radar changed gets a fresh controller (the
-  // assumed radar position is baked into Eq. 3) and drops its coasting
-  // schedule and continuity anchor -- both were solved for the old radar's
-  // geometry and the apparent position is radar-relative.
+  // assumed radar position is baked into Eq. 3) and retargets its control
+  // hop -- the coasting schedule and continuity anchor were solved for the
+  // old radar's geometry and the apparent position is radar-relative.
   for (std::size_t i = 0; i < fleet_.size(); ++i) {
     ReflectorFleet::Reflector& rf = fleet_.at(i);
     const bool changed = next[i] != rf.assignedRadar;
@@ -183,8 +156,7 @@ void CoordinatedGhostScheduler::resolveAssignments(double t,
           radars_[static_cast<std::size_t>(next[i])].position;
       rf.controller.emplace(rf.panel,
                             reflector::SwitchedReflector(rf.hardware), cc);
-      rf.coastSchedule.clear();
-      rf.hasLast = false;
+      rf.channel.retarget();
     }
   }
   assignment_ = std::move(next);
@@ -206,236 +178,6 @@ void CoordinatedGhostScheduler::resolveAssignments(double t,
   lastResolveUs_ = std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
-}
-
-ControlCommand CoordinatedGhostScheduler::planCommand(
-    std::size_t idx, Vec2 ghostWorld, double tCmd, double tBelief,
-    bool checkContinuity) const {
-  const ReflectorFleet::Reflector& rf = fleet_.at(idx);
-  const reflector::ReflectorController& controller = *rf.controller;
-
-  ControlCommand cmd;
-  if (!config_.recovery.enabled || rf.schedule->idle()) {
-    cmd = controller.commandFor(ghostWorld, tCmd);
-  } else {
-    // Watchdog belief: ground truth delayed by the readback latency.
-    const double lookback =
-        static_cast<double>(config_.recovery.watchdogLatencyFrames) *
-        config_.frameDtS;
-    const fault::FrameFaults believed =
-        rf.schedule->at(std::max(0.0, tBelief - lookback));
-
-    reflector::ActuationConstraints constraints;
-    const int n = rf.panel.count();
-    constraints.healthyAntennas.assign(static_cast<std::size_t>(n), true);
-    for (int i = 0; i < n; ++i) {
-      if (believed.deadAntenna[static_cast<std::size_t>(i)]) {
-        constraints.healthyAntennas[static_cast<std::size_t>(i)] = false;
-      }
-    }
-    if (believed.stuckSwitchElement >= 0 &&
-        believed.stuckSwitchElement < n) {
-      for (int i = 0; i < n; ++i) {
-        constraints.healthyAntennas[static_cast<std::size_t>(i)] =
-            i == believed.stuckSwitchElement &&
-            !believed.deadAntenna[static_cast<std::size_t>(i)];
-      }
-    }
-    constraints.maxSwitchHz = rf.hardware.maxSwitchHz;
-    constraints.maxLinearGain = believed.lnaGainLimit;
-
-    const auto constrained =
-        controller.commandForConstrained(ghostWorld, tCmd, constraints);
-    if (!constrained.has_value()) {
-      ControlCommand paused;
-      paused.intendedWorld = ghostWorld;
-      paused.decision = HealthDecision::kPaused;
-      return paused;
-    }
-    cmd = *constrained;
-    if (checkContinuity && cmd.decision == HealthDecision::kRerouted &&
-        rf.hasLast &&
-        distance(controller.apparentWorld(cmd), rf.lastApparent) >
-            config_.recovery.maxApparentJumpM) {
-      cmd.decision = HealthDecision::kPaused;
-    }
-  }
-
-  // Hard invariant for the fleet: never ship a non-finite schedule entry
-  // (acceptance criterion; a NaN f_switch would propagate into the radar
-  // front end as a NaN tone).
-  if (cmd.decision != HealthDecision::kPaused && !commandFinite(cmd)) {
-    ControlCommand paused;
-    paused.intendedWorld = ghostWorld;
-    paused.decision = HealthDecision::kPaused;
-    return paused;
-  }
-  return cmd;
-}
-
-void CoordinatedGhostScheduler::radiate(
-    std::size_t idx, const ControlCommand& cmd, const fault::FrameFaults& ff,
-    std::vector<env::PointScatterer>& emitted, bool* emittedFlag) {
-  ReflectorFleet::Reflector& rf = fleet_.at(idx);
-  const reflector::ReflectorController& controller = *rf.controller;
-  const int ghostId = kFleetGhostIdBase + static_cast<int>(idx);
-
-  if (!ff.any()) {
-    const auto tones = controller.execute(cmd, ghostId);
-    emitted.insert(emitted.end(), tones.begin(), tones.end());
-    *emittedFlag = true;
-    rf.lastElement = cmd.antennaIndex;
-    return;
-  }
-
-  ControlCommand actual = cmd;
-  if (ff.stuckSwitchElement >= 0 &&
-      ff.stuckSwitchElement < rf.panel.count()) {
-    actual.antennaIndex = ff.stuckSwitchElement;
-  }
-  const auto element = static_cast<std::size_t>(actual.antennaIndex);
-  if (element < ff.deadAntenna.size() && ff.deadAntenna[element]) {
-    rf.lastElement = actual.antennaIndex;
-    return;  // selected element's feed is dead: nothing radiates
-  }
-
-  double jitter = ff.switchJitterRel;
-  if (rf.lastElement >= 0 && actual.antennaIndex != rf.lastElement) {
-    jitter += ff.settleJitterRel;
-  }
-  jitter = std::clamp(jitter, -0.9, 0.9);
-  actual.fSwitchHz = cmd.fSwitchHz * (1.0 + jitter);
-  actual.gain = cmd.gain * std::exp(ff.gainDriftLog);
-
-  bool overdriven = false;
-  if (actual.gain > ff.lnaGainLimit) {
-    overdriven = true;
-    actual.gain = ff.lnaGainLimit;
-  }
-  if (ff.phaseQuantBits > 0) {
-    actual.phaseOffsetRad = quantizePhase(actual.phaseOffsetRad,
-                                          ff.phaseQuantBits,
-                                          ff.phaseStuckBitMask);
-  }
-
-  auto tones = controller.execute(actual, ghostId);
-  if (overdriven) {
-    // Saturation clipping: compressed fundamental plus an intermodulation
-    // image at twice the switching rate (same model as the single-panel
-    // self-healing actuator).
-    ControlCommand spur = actual;
-    spur.fSwitchHz = 2.0 * actual.fSwitchHz;
-    spur.gain = 0.6 * ff.lnaGainLimit;
-    const auto spurTones = controller.execute(spur, ghostId);
-    tones.insert(tones.end(), spurTones.begin(), spurTones.end());
-  }
-  emitted.insert(emitted.end(), tones.begin(), tones.end());
-  *emittedFlag = true;
-  rf.lastElement = actual.antennaIndex;
-}
-
-void CoordinatedGhostScheduler::actuate(
-    std::size_t idx, double t, std::uint64_t frame,
-    std::vector<env::PointScatterer>& emitted) {
-  ReflectorFleet::Reflector& rf = fleet_.at(idx);
-  const fault::FrameFaults ff = rf.schedule->at(t);
-  const double dt = config_.frameDtS;
-  const int ghostId = kFleetGhostIdBase + static_cast<int>(idx);
-  const Vec2 ghostWorld = ghostAt(t);
-
-  const auto commit = [&](ControlCommand cmd) {
-    rf.lastCommand = cmd;
-    rf.hasLast = true;
-    rf.lastApparent = rf.controller->apparentWorld(cmd);
-    bool didEmit = false;
-    radiate(idx, cmd, ff, emitted, &didEmit);
-    ghostLedger_.add(ghostId, t, cmd, didEmit);
-  };
-
-  const ControlCommand cmd0 =
-      planCommand(idx, ghostWorld, t, t, /*checkContinuity=*/true);
-  if (cmd0.decision == HealthDecision::kPaused) {
-    // Infeasible regardless of the link; nothing worth transmitting.
-    ghostLedger_.add(ghostId, t, cmd0, false);
-    return;
-  }
-
-  transport::LinkWatchdog& wd = rf.watchdog;
-  if (wd.shouldAttempt(frame)) {
-    transport::Schedule schedule;
-    schedule.ghostId = ghostId;
-    schedule.commands.push_back(cmd0);
-    const int depth = config_.transport.scheduleDepth - 1;
-    for (int i = 1; i <= depth; ++i) {
-      const double tAhead = t + static_cast<double>(i) * dt;
-      if (!ghostActiveAt(tAhead)) break;
-      const ControlCommand ahead = planCommand(idx, ghostAt(tAhead), tAhead,
-                                               t, /*checkContinuity=*/false);
-      if (ahead.decision == HealthDecision::kPaused) break;
-      schedule.commands.push_back(ahead);
-    }
-
-    const std::optional<transport::Frame> delivered = rf.link.transfer(
-        transport::encodeSchedule(frame, schedule),
-        transport::ChannelCondition::fromFaults(ff), dt);
-    std::optional<transport::Schedule> received;
-    if (delivered) received = transport::decodeSchedule(*delivered);
-    if (received.has_value()) {
-      if (wd.onDelivery(frame)) ++rf.link.stats().reacquisitions;
-      rf.coastSchedule = std::move(received->commands);
-      rf.scheduleBaseFrame = frame;
-      rf.parkedStreak = 0;
-      ControlCommand cmd = rf.coastSchedule.front();
-      if (rf.fadeLevel < 1.0) {
-        rf.fadeLevel = std::min(
-            1.0, rf.fadeLevel +
-                     1.0 / static_cast<double>(config_.transport.fadeFrames));
-        if (rf.fadeLevel < 1.0) cmd.gain *= rf.fadeLevel;
-      }
-      commit(cmd);
-      return;
-    }
-    wd.onMiss(frame);
-  }
-
-  // Missed frame (or parked backoff): degrade like the single-panel loop.
-  if (wd.state() == transport::LinkState::kDegraded) {
-    const std::uint64_t i = frame - rf.scheduleBaseFrame;
-    if (!rf.coastSchedule.empty() && i < rf.coastSchedule.size()) {
-      ControlCommand cmd = rf.coastSchedule[static_cast<std::size_t>(i)];
-      cmd.decision = HealthDecision::kCoasted;
-      if (!rf.hasLast ||
-          distance(rf.controller->apparentWorld(cmd), rf.lastApparent) <=
-              config_.transport.coastMaxApparentStepM) {
-        ++rf.link.stats().coastFrames;
-        rf.parkedStreak = 0;
-        commit(cmd);
-        return;
-      }
-    }
-    wd.park(frame);  // schedule exhausted or stale: give up gracefully
-  }
-
-  // Parked: fade out, count the streak (the fleet's health machine turns a
-  // long streak into a kLost declaration and a re-solve).
-  ++rf.link.stats().parkedFrames;
-  ++rf.parkedStreak;
-  rf.fadeLevel = std::max(
-      0.0, rf.fadeLevel -
-               1.0 / static_cast<double>(config_.transport.fadeFrames));
-  if (rf.hasLast && rf.fadeLevel > 0.0) {
-    ControlCommand cmd = rf.lastCommand;
-    cmd.decision = HealthDecision::kParked;
-    cmd.gain *= rf.fadeLevel;
-    bool didEmit = false;
-    radiate(idx, cmd, ff, emitted, &didEmit);
-    ghostLedger_.add(ghostId, t, cmd, didEmit);
-  } else {
-    ControlCommand dark;
-    dark.intendedWorld = ghostWorld;
-    dark.decision = HealthDecision::kParked;
-    ghostLedger_.add(ghostId, t, dark, false);
-  }
 }
 
 std::vector<std::vector<env::PointScatterer>>
@@ -468,19 +210,28 @@ CoordinatedGhostScheduler::step(double t) {
   // Actuate each assigned reflector, then compose the per-radar views:
   // each panel's emission weighted by its directivity toward the observer
   // (boresight = the assigned radar).
+  const Vec2 ghostWorld = ghostAt(t);
+  std::vector<Vec2> lookahead;
+  for (int i = 1; i < config_.transport.scheduleDepth; ++i) {
+    const double tAhead = t + static_cast<double>(i) * config_.frameDtS;
+    if (!ghostActiveAt(tAhead)) break;
+    lookahead.push_back(ghostAt(tAhead));
+  }
   for (std::size_t i = 0; i < fleet_.size(); ++i) {
     ReflectorFleet::Reflector& rf = fleet_.at(i);
     if (rf.assignedRadar < 0 || rf.health == ReflectorHealth::kLost) {
       continue;
     }
-    std::vector<env::PointScatterer> emitted;
-    actuate(i, t, frame, emitted);
-    if (emitted.empty()) continue;
+    const fault::ActuationOutcome out =
+        rf.channel.actuate(*rf.controller, ghostWorld, t, lookahead);
+    ghostLedger_.add(kFleetGhostIdBase + static_cast<int>(i), t, out.command,
+                     out.emitted);
+    if (out.scatterers.empty()) continue;
     const Vec2 boresightTarget =
         radars_[static_cast<std::size_t>(rf.assignedRadar)].position;
     for (std::size_t r = 0; r < radars_.size(); ++r) {
       const Vec2 observer = radars_[r].position;
-      for (env::PointScatterer s : emitted) {
+      for (env::PointScatterer s : out.scatterers) {
         s.amplitude *= config_.directivity.gainToward(
             s.position, boresightTarget, observer);
         // Walls off the panel's boresight only receive sidelobe power, so

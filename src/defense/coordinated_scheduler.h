@@ -14,9 +14,10 @@
 ///      shared thread pool; seeded epsilon tie-breaks keep it
 ///      deterministic at any thread count) and ledger the decision with
 ///      the resulting degrade tier,
-///   3. actuate each assigned reflector over its own control link
-///      (schedule lookahead, coasting, park-with-fade -- the PR 2 loop,
-///      one instance per physical reflector),
+///   3. actuate each assigned reflector through its control hop, a
+///      fault::ActuationChannel (schedule lookahead, coasting,
+///      park-with-fade -- the same loop the single-panel actuator runs per
+///      ghost), and ledger the outcome,
 ///   4. compose per-radar scatterer views: each panel's emission is
 ///      weighted by its directivity pattern toward each observer.
 ///
@@ -75,23 +76,6 @@ class CoordinatedGhostScheduler {
  private:
   void resolveAssignments(double t, std::uint64_t frame,
                           const std::string& reason);
-  /// Plans reflector \p idx's (recovery-constrained) command toward
-  /// \p ghostWorld for frame time \p tCmd, with the fault belief held at
-  /// \p tBelief. Returns kPaused when infeasible, discontinuous, or
-  /// non-finite.
-  reflector::ControlCommand planCommand(std::size_t idx,
-                                        rfp::common::Vec2 ghostWorld,
-                                        double tCmd, double tBelief,
-                                        bool checkContinuity) const;
-  /// Runs reflector \p idx's link-actuation loop for frame \p frame and
-  /// appends whatever it radiates to \p emitted (directivity applied
-  /// later, per observer).
-  void actuate(std::size_t idx, double t, std::uint64_t frame,
-               std::vector<env::PointScatterer>& emitted);
-  /// Drives \p cmd into reflector \p idx's impaired hardware.
-  void radiate(std::size_t idx, const reflector::ControlCommand& cmd,
-               const fault::FrameFaults& ff,
-               std::vector<env::PointScatterer>& emitted, bool* emittedFlag);
 
   FleetConfig config_;
   std::vector<core::RadarPose> radars_;

@@ -77,6 +77,11 @@ void FleetConfig::validate() const {
   }
   faults.validate();
   transport.validate();
+  if (!transport.enabled) {
+    // The fleet always actuates over its control links, and the link
+    // watchdog is the health machine's heartbeat.
+    throw std::invalid_argument("FleetConfig: the transport must be enabled");
+  }
   directivity.validate();
   if (recovery.watchdogLatencyFrames < 0) {
     throw std::invalid_argument(
@@ -116,8 +121,6 @@ ReflectorFleet::ReflectorFleet(const FleetConfig& config) : config_(config) {
   reflectors_.reserve(config_.reflectors.size());
   for (std::size_t i = 0; i < config_.reflectors.size(); ++i) {
     const FleetReflectorConfig& rc = config_.reflectors[i];
-    reflectors_.emplace_back(rc);
-    Reflector& r = reflectors_.back();
 
     // Independent per-reflector fault timeline: same model, derived seed,
     // so one master seed reproduces the whole fleet's chaos.
@@ -130,15 +133,15 @@ ReflectorFleet::ReflectorFleet(const FleetConfig& config) : config_(config) {
     for (const fault::FaultEvent& e : rc.scriptedFaults) {
       schedule->addScriptedEvent(e);
     }
-    r.schedule = std::move(schedule);
 
-    // The control link is per physical reflector (one radio hop each);
+    // The control hop is per physical reflector (one radio link each);
     // salted seeds decorrelate the channels.
     const std::uint64_t linkSeed = rfp::common::splitmix64(
-        r.schedule->config().seed ^ config_.transport.seedSalt);
-    r.link = transport::Link(config_.transport, linkSeed,
-                             transport::kControlStreamBase);
-    r.watchdog = transport::LinkWatchdog(config_.transport);
+        schedule->config().seed ^ config_.transport.seedSalt);
+    fault::ActuationChannel channel(schedule, config_.recovery,
+                                    config_.transport, linkSeed,
+                                    kFleetGhostIdBase + static_cast<int>(i));
+    reflectors_.emplace_back(rc, std::move(schedule), std::move(channel));
   }
 }
 
@@ -159,10 +162,10 @@ bool ReflectorFleet::updateHealth(double t) {
     const bool anyDead =
         std::any_of(believed.deadAntenna.begin(), believed.deadAntenna.end(),
                     [](std::uint8_t d) { return d != 0; });
-    const transport::LinkState link = r.watchdog.state();
+    const transport::LinkState link = r.channel.linkState();
 
     ReflectorHealth next = ReflectorHealth::kActive;
-    if (allDead || r.parkedStreak >= config_.lostAfterParkedFrames) {
+    if (allDead || r.channel.parkedStreak() >= config_.lostAfterParkedFrames) {
       next = ReflectorHealth::kLost;
     } else if (anyDead || believed.stuckSwitchElement >= 0 ||
                believed.linkBurst || link != transport::LinkState::kLinked) {

@@ -13,8 +13,9 @@
 /// radar) keep each panel's emission out of the other radars' view.
 ///
 /// This header holds the fleet's configuration and robustness state:
-/// per-reflector health machines fed by the PR 1 fault timelines and the
-/// PR 2 link watchdog, and the failover ledger that records every
+/// per-reflector health machines fed by the fault timelines and by each
+/// reflector's control hop (a fault::ActuationChannel, whose link watchdog
+/// is the heartbeat), and the failover ledger that records every
 /// coordination decision -- same seed + same fault timeline reproduces a
 /// byte-identical ledger.
 
@@ -23,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/vec2.h"
@@ -101,6 +103,8 @@ struct FleetConfig {
   /// with a seed derived from `seed` and the reflector index.
   fault::FaultConfig faults{};
   fault::RecoveryConfig recovery{};
+  /// Control-link knobs; must be enabled (the link watchdog is the health
+  /// machine's heartbeat).
   transport::TransportConfig transport{};
   DirectivityConfig directivity{};
   double frameDtS = 0.05;   ///< actuation frame period
@@ -145,41 +149,39 @@ class FailoverLedger {
 };
 
 /// The M reflector panels and their robustness state: per-reflector fault
-/// timeline, control link (the PR 2 watchdog is the heartbeat), health
-/// machine, and the actuation bookkeeping the coordinator drives.
+/// timeline, health machine, and control hop -- one fault::ActuationChannel
+/// per physical reflector, whose link watchdog is the heartbeat.
 class ReflectorFleet {
  public:
-  /// Runtime state of one reflector. The coordinator mutates the
-  /// actuation fields each frame; the fleet owns the health machine.
+  /// Runtime state of one reflector. The coordinator actuates through the
+  /// channel each frame; the fleet owns the health machine.
   struct Reflector {
-    explicit Reflector(const FleetReflectorConfig& cfg)
-        : panel(cfg.panel), hardware(cfg.hardware) {}
+    Reflector(const FleetReflectorConfig& cfg,
+              std::shared_ptr<const fault::FaultSchedule> faults,
+              fault::ActuationChannel hop)
+        : panel(cfg.panel),
+          hardware(cfg.hardware),
+          schedule(std::move(faults)),
+          channel(std::move(hop)) {}
 
     reflector::AntennaPanel panel;
     reflector::ReflectorHardware hardware{};
     std::shared_ptr<const fault::FaultSchedule> schedule;
-    transport::Link link;
-    transport::LinkWatchdog watchdog;
+    /// The control hop: link, watchdog, coast schedule, fade level and
+    /// parked streak.
+    fault::ActuationChannel channel;
     ReflectorHealth health = ReflectorHealth::kActive;
-    int parkedStreak = 0;  ///< consecutive frames the link ended parked
 
-    // --- coordinator-owned actuation state --------------------------------
+    // --- coordinator-owned assignment state -------------------------------
     int assignedRadar = -1;  ///< attacker-radar index, -1 = idle
     /// Controller solving Eq. 3 for the assigned radar; re-built on
     /// reassignment (the assumed radar position is baked in).
     std::optional<reflector::ReflectorController> controller;
-    bool hasLast = false;
-    reflector::ControlCommand lastCommand{};
-    rfp::common::Vec2 lastApparent{};
-    int lastElement = -1;
-    std::vector<reflector::ControlCommand> coastSchedule;
-    std::uint64_t scheduleBaseFrame = 0;
-    double fadeLevel = 1.0;
   };
 
   /// Builds the fleet: one fault timeline per reflector (seed derived
   /// from config.seed and the index; scripted events merged) and one
-  /// control link each. Throws on invalid config.
+  /// control hop each. Throws on invalid config.
   explicit ReflectorFleet(const FleetConfig& config);
 
   std::size_t size() const { return reflectors_.size(); }

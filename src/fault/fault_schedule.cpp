@@ -179,6 +179,12 @@ void FaultSchedule::addScriptedEvent(const FaultEvent& event) {
     throw std::invalid_argument(
         "FaultSchedule: scripted event needs finite startS <= endS");
   }
+  if (event.kind == FaultKind::kPhaseStuckBit &&
+      (event.index < 0 || event.index > 31)) {
+    // at() ORs in 1u << index, which is undefined outside [0, 31].
+    throw std::invalid_argument(
+        "FaultSchedule: stuck-bit index must be in [0, 31]");
+  }
   scripted_ = true;
   // Keep the start-sorted invariant of the generated timeline.
   const auto pos = std::upper_bound(

@@ -91,7 +91,8 @@ class FaultSchedule {
   /// drops out mid-run), which the seeded Poisson streams cannot pin down;
   /// a scripted event is merged into the generated timeline and honored by
   /// at() even at intensity 0 (the schedule then stops reporting idle()).
-  /// Throws std::invalid_argument on non-finite or inverted times.
+  /// Throws std::invalid_argument on non-finite or inverted times, and on
+  /// a phase stuck-bit index outside [0, 31].
   void addScriptedEvent(const FaultEvent& event);
 
   /// The episodic events of the timeline (per-frame impairments such as

@@ -2,14 +2,18 @@
 
 /// \file self_healing.h
 /// Supervisory recovery loop between the reflector controller and the
-/// (faulty) hardware. Each frame the actuator:
+/// (faulty) hardware, written once: an ActuationChannel is one control hop
+/// (one ghost on one reflector), used per ghost by the single-panel
+/// SelfHealingActuator and per panel by the reflector fleet
+/// (src/defense). Each frame the channel:
 ///   1. consults the watchdog's belief about element health (ground truth
 ///      delayed by a detection latency),
 ///   2. asks the controller for a constrained command -- re-selecting the
 ///      nearest healthy antenna, re-solving Eq. 3 for the new geometry, and
 ///      clamping gain into the LNA's linear region,
 ///   3. enforces ghost-trajectory continuity (a rerouted phantom must not
-///      teleport; if it would, the ghost pauses for the frame instead),
+///      teleport; if it would, the ghost pauses for the frame instead) and
+///      never ships a non-finite command (it pauses instead),
 ///   4. applies the ground-truth hardware impairments to whatever was
 ///      commanded (stuck switch, dead element, timing jitter, gain drift,
 ///      saturation clipping with a spurious intermodulation image, phase
@@ -29,8 +33,8 @@
 /// the faulty hardware unchanged, which is the "collapse" baseline the
 /// robustness bench compares against.
 
+#include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -65,10 +69,99 @@ struct ActuationOutcome {
   bool emitted = false;
 };
 
-/// Per-ghost supervisory actuator. Stateful: it remembers the previous
-/// command per ghost for stale replay on dropped control frames and for
-/// trajectory-continuity checks; with the transport enabled it also holds
-/// each ghost's link endpoint, delivered schedule, and fade level.
+/// True when every numeric field of \p cmd is finite.
+bool commandFinite(const reflector::ControlCommand& cmd);
+
+/// One ghost's control hop on one reflector, and the one owner of its
+/// state: the last command (stale replay, continuity anchor), the element
+/// last driven (switch settling), and -- with the transport enabled -- the
+/// Link, its LinkWatchdog, the delivered coast schedule, and the fade
+/// level. The single-panel actuator keeps one per ghost; the reflector
+/// fleet keeps one per physical reflector.
+class ActuationChannel {
+ public:
+  /// \p linkSeed seeds the control link's channel draws; \p ghostId is
+  /// stamped on the control frames and the radiated scatterers. The owner
+  /// validates \p recovery and \p transport.
+  ActuationChannel(std::shared_ptr<const FaultSchedule> schedule,
+                   RecoveryConfig recovery,
+                   transport::TransportConfig transport,
+                   std::uint64_t linkSeed, int ghostId);
+
+  /// Actuates towards \p ghostWorld at time \p t through \p controller
+  /// (passed per call: an owner may rebuild its controller). With the
+  /// transport enabled, \p lookaheadWorlds are the ghost's intended
+  /// positions for the next frames, which fill the coasting schedule.
+  ActuationOutcome actuate(
+      const reflector::ReflectorController& controller,
+      rfp::common::Vec2 ghostWorld, double t,
+      const std::vector<rfp::common::Vec2>& lookaheadWorlds);
+
+  /// The controller now solves for a different radar: drops the coast
+  /// schedule and the continuity anchor (both radar-relative). The link,
+  /// watchdog, fade level, last element and parked streak carry over.
+  void retarget();
+
+  const transport::LinkStats& linkStats() const { return link_.stats(); }
+  transport::LinkState linkState() const { return watchdog_.state(); }
+  /// Consecutive frames that ended parked (reset by a delivery or a
+  /// coasted frame).
+  int parkedStreak() const { return parkedStreak_; }
+
+ private:
+  /// Plans the (recovery-constrained) command for \p ghostWorld at \p tCmd,
+  /// using the watchdog's fault belief as of \p tBelief. Returns a command
+  /// whose decision is kPaused when no feasible actuation exists, the
+  /// command is non-finite, or (if \p checkContinuity) a reroute would
+  /// teleport the phantom.
+  reflector::ControlCommand planCommand(
+      const reflector::ReflectorController& controller,
+      rfp::common::Vec2 ghostWorld, double tCmd, double tBelief,
+      bool checkContinuity) const;
+
+  /// Records \p cmd as the last command and drives it into the hardware.
+  void commit(const reflector::ReflectorController& controller,
+              const reflector::ControlCommand& cmd, const FrameFaults& ff,
+              ActuationOutcome& out);
+
+  /// The naive single-attempt link: stale replay on drops.
+  ActuationOutcome actuateDirect(
+      const reflector::ReflectorController& controller,
+      rfp::common::Vec2 ghostWorld, double t);
+
+  /// Frame the schedule, transfer over the lossy link, and degrade
+  /// LINKED -> DEGRADED (coast) -> PARKED (fade out) on misses.
+  ActuationOutcome actuateViaLink(
+      const reflector::ReflectorController& controller,
+      rfp::common::Vec2 ghostWorld, double t,
+      const std::vector<rfp::common::Vec2>& lookaheadWorlds);
+
+  /// Drives \p cmd into the hardware with frame faults \p ff applied.
+  void radiate(const reflector::ReflectorController& controller,
+               const reflector::ControlCommand& cmd, const FrameFaults& ff,
+               ActuationOutcome& out);
+
+  std::shared_ptr<const FaultSchedule> schedule_;
+  RecoveryConfig recovery_;
+  transport::TransportConfig transport_;
+  int ghostId_;
+
+  bool hasLast_ = false;
+  reflector::ControlCommand lastCommand_;
+  rfp::common::Vec2 lastApparent_{};
+  int lastElement_ = -1;  ///< physical element last driven (for settling)
+
+  // --- transport-mode state -----------------------------------------------
+  transport::Link link_;
+  transport::LinkWatchdog watchdog_;
+  std::vector<reflector::ControlCommand> coastSchedule_;
+  std::uint64_t scheduleBaseFrame_ = 0;
+  double fadeLevel_ = 1.0;  ///< 1 = full gain; ramps down while parked
+  int parkedStreak_ = 0;
+};
+
+/// Per-ghost supervisory actuator for one reflector: one ActuationChannel
+/// per ghost id, each with its own seeded control link.
 class SelfHealingActuator {
  public:
   /// \p controller must outlive the actuator.
@@ -85,7 +178,6 @@ class SelfHealingActuator {
       rfp::common::Vec2 ghostWorld, double t, int ghostId,
       const std::vector<rfp::common::Vec2>& lookaheadWorlds = {});
 
-  const RecoveryConfig& recovery() const { return recovery_; }
   const FaultSchedule& schedule() const { return *schedule_; }
   const transport::TransportConfig& transport() const { return transport_; }
 
@@ -93,60 +185,12 @@ class SelfHealingActuator {
   /// transport disabled).
   transport::LinkStats linkStats() const;
 
-  /// Link state of one ghost (kLinked when the transport is disabled or the
-  /// ghost has not actuated yet).
-  transport::LinkState linkState(int ghostId) const;
-
  private:
-  struct GhostState {
-    bool hasLast = false;
-    reflector::ControlCommand lastCommand;
-    rfp::common::Vec2 lastApparent{};
-    int lastElement = -1;  ///< physical element last driven (for settling)
-
-    // --- transport-mode state ---------------------------------------------
-    bool linkInit = false;
-    transport::Link link;
-    transport::LinkWatchdog watchdog;
-    std::vector<reflector::ControlCommand> coastSchedule;
-    std::uint64_t scheduleBaseFrame = 0;
-    double fadeLevel = 1.0;  ///< 1 = full gain; ramps down while parked
-  };
-
-  /// Plans the (recovery-constrained) command for \p ghostWorld at \p tCmd,
-  /// using the watchdog's fault belief as of \p tBelief. Returns a command
-  /// whose decision is kPaused when no feasible actuation exists or (if
-  /// \p checkContinuity) a reroute would teleport the phantom.
-  reflector::ControlCommand planCommand(rfp::common::Vec2 ghostWorld,
-                                        double tCmd, double tBelief,
-                                        const GhostState& gs,
-                                        bool checkContinuity) const;
-
-  /// Commits \p cmd: records it in the ghost state and drives it into the
-  /// impaired hardware.
-  void commit(const reflector::ControlCommand& cmd, const FrameFaults& ff,
-              int ghostId, GhostState& gs, ActuationOutcome& out);
-
-  /// PR 1's direct path: the naive single-attempt link (stale replay on
-  /// drops).
-  ActuationOutcome actuateDirect(rfp::common::Vec2 ghostWorld, double t,
-                                 int ghostId);
-
-  /// Transport path: frame the schedule, transfer over the lossy link, and
-  /// degrade LINKED -> DEGRADED (coast) -> PARKED (fade out) on misses.
-  ActuationOutcome actuateViaLink(
-      rfp::common::Vec2 ghostWorld, double t, int ghostId,
-      const std::vector<rfp::common::Vec2>& lookaheadWorlds);
-
-  /// Drives \p cmd into the hardware with frame faults \p ff applied.
-  void radiate(const reflector::ControlCommand& cmd, const FrameFaults& ff,
-               int ghostId, GhostState& gs, ActuationOutcome& out) const;
-
   const reflector::ReflectorController* controller_;
   std::shared_ptr<const FaultSchedule> schedule_;
   RecoveryConfig recovery_;
   transport::TransportConfig transport_;
-  std::unordered_map<int, GhostState> state_;
+  std::unordered_map<int, ActuationChannel> channels_;
 };
 
 }  // namespace rfp::fault

@@ -156,7 +156,7 @@ inline constexpr std::uint64_t kControlStreamBase = 20;
 inline constexpr std::uint64_t kServiceStreamBase = 30;
 
 /// Cumulative link counters (per link; accumulate() to total). The last
-/// three are kept by the control-hop actuator that owns the link.
+/// three are kept by the fault::ActuationChannel that owns the link.
 struct LinkStats {
   long attempts = 0;            ///< transmissions, including retransmits
   long retransmissions = 0;     ///< attempts after the first, per frame

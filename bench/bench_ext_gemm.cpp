@@ -68,6 +68,7 @@ struct ShapeResult {
   double gflopsTiled = 0.0;
   double gflopsNaive = 0.0;
   bool bitExact = false;  ///< memcmp vs the level's scalar reference, 1/2/4 threads
+  bool pooled = false;    ///< the 2- and 4-thread runs take the pooled path
 };
 
 template <typename Kernel>
@@ -117,6 +118,8 @@ ShapeResult benchShape(common::simd::KernelLevel level, std::size_t m,
   res.gflopsTiled = flopsPerCall * static_cast<double>(reps) / tTiled / 1.0e9;
   res.gflopsNaive = flopsPerCall * static_cast<double>(reps) / tNaive / 1.0e9;
 
+  res.pooled = linalg::gemmPath(m, n, k, 2) == linalg::GemmPath::kPooled &&
+               linalg::gemmPath(m, n, k, 4) == linalg::GemmPath::kPooled;
   Matrix ref;
   linalg::referenceGemmForLevel(level, ref, a, b);
   res.bitExact = true;
@@ -210,12 +213,15 @@ int runGemmBench(bool smoke) {
       "the seed kernel");
 
   bool allExact = true;
+  // Every level's thread check must cover the pooled path on some shape.
+  bool pooledCovered = true;
 
   // Part 1: raw kernel throughput per dispatched ISA level. Shapes: cubes,
   // the GAN's tall-skinny LSTM/FC products (M = batch*T), and a
-  // deliberately tile-unaligned edge case.
+  // deliberately tile-unaligned edge case. 256^3 is the cube the pool
+  // splits (gemmPath); the smaller products run inline.
   const std::vector<std::array<std::size_t, 3>> shapes =
-      smoke ? std::vector<std::array<std::size_t, 3>>{{64, 64, 64},
+      smoke ? std::vector<std::array<std::size_t, 3>>{{256, 256, 256},
                                                       {33, 17, 29}}
             : std::vector<std::array<std::size_t, 3>>{{64, 64, 64},
                                                       {256, 256, 256},
@@ -231,18 +237,22 @@ int runGemmBench(bool smoke) {
     lr.mr = info.mr;
     lr.nr = info.nr;
     double logSum = 0.0;
+    bool levelPooled = false;
     for (const auto& s : shapes) {
       const ShapeResult r = benchShape(info.level, s[0], s[1], s[2], smoke);
       lr.shapes.push_back(r);
       logSum += std::log(r.gflopsTiled);
       allExact = allExact && r.bitExact;
+      levelPooled = levelPooled || r.pooled;
       std::printf(
           "  gemm[%-8s] %4zux%4zux%4zu : tiled %7.2f GFLOP/s  naive %7.2f "
-          "GFLOP/s  (%4.1fx)  %s\n",
+          "GFLOP/s  (%4.1fx)  %s%s\n",
           common::simd::kernelLevelName(info.level), r.m, r.k, r.n,
           r.gflopsTiled, r.gflopsNaive, r.gflopsTiled / r.gflopsNaive,
-          r.bitExact ? "bit-exact" : "MISMATCH");
+          r.bitExact ? "bit-exact" : "MISMATCH",
+          r.pooled ? "  pooled@2/4" : "");
     }
+    pooledCovered = pooledCovered && levelPooled;
     lr.meanGflops = std::exp(logSum / static_cast<double>(lr.shapes.size()));
     levelResults.push_back(std::move(lr));
   }
@@ -329,6 +339,7 @@ int runGemmBench(bool smoke) {
           .field("gflops_naive", r.gflopsNaive)
           .field("speedup", r.gflopsTiled / r.gflopsNaive)
           .field("bit_exact_threads_1_2_4", r.bitExact)
+          .field("pooled_threads_2_4", r.pooled)
           .endObject();
     }
     json.endArray().endObject();
@@ -357,7 +368,10 @@ int runGemmBench(bool smoke) {
         .field("bit_identical_to_1_thread", r.bitExact)
         .endObject();
   }
-  json.endArray().field("all_bit_exact", allExact).endObject();
+  json.endArray()
+      .field("all_bit_exact", allExact)
+      .field("pooled_path_covered", pooledCovered)
+      .endObject();
   if (json.writeFile("BENCH_gemm.json")) {
     std::printf("  wrote BENCH_gemm.json\n");
   }
@@ -365,6 +379,12 @@ int runGemmBench(bool smoke) {
   if (!allExact) {
     std::fprintf(stderr,
                  "FAIL: tiled/naive or cross-thread outputs diverged\n");
+    return 1;
+  }
+  if (!pooledCovered) {
+    std::fprintf(stderr,
+                 "FAIL: no shape took the pooled GEMM path at 2 and 4 "
+                 "threads\n");
     return 1;
   }
   return 0;

@@ -17,9 +17,22 @@ using rfp::common::simd::KernelLevel;
 
 namespace {
 
-// Parallelize only when the arithmetic dwarfs the fork/join cost. Purely a
-// performance threshold: the inline and pooled paths produce identical bits.
-constexpr std::size_t kParallelFlops = 1u << 18;
+// Per-worker work floor [FLOP] for splitting a product across the pool: a
+// worker's share of row panels must outweigh one task's fork/join (queue
+// lock, wake-up, future) several times over. On a 4-core AVX-512 host the
+// fork/join cost 25-50 us and 4 MFLOP is about 150 us of micro-tile work;
+// a 128^3 product (4.2 MFLOP) split in two ran slower than inline there.
+// Purely a performance threshold: the inline and pooled paths produce
+// identical bits.
+constexpr std::size_t kPooledFlopsPerWorker = 1u << 22;
+
+/// Pool workers a tiled product is split across: one share of row panels
+/// each, every share at least kPooledFlopsPerWorker. 0 or 1 means inline.
+std::size_t pooledWorkers(std::size_t m, std::size_t n, std::size_t k,
+                          std::size_t threads, std::size_t mr) {
+  const std::size_t rowPanels = (m + mr - 1) / mr;
+  return std::min({threads, rowPanels, 2 * m * n * k / kPooledFlopsPerWorker});
+}
 
 std::atomic<int> g_kernel{static_cast<int>(GemmKernel::kTiled)};
 
@@ -126,8 +139,13 @@ void packB(std::vector<double>& bp, const Matrix& b, bool transB,
 thread_local std::vector<double> tlsAPack;
 thread_local std::vector<double> tlsBPack;
 
+/// \p bPacked, when non-null, holds all of op(B) packed by packB over the
+/// full N extent (a PackedB). Column blocks start on panel boundaries (nc
+/// is a multiple of nrMax), so block j0's panels are that buffer's panels
+/// from j0 / nrMax on -- the same bytes packB would write for the block.
 void tiledGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
-               bool transB, double alpha, const MicroKernelEntry& kernel) {
+               bool transB, double alpha, const MicroKernelEntry& kernel,
+               std::size_t workers, const double* bPacked) {
   const std::size_t m = c.rows();
   const std::size_t n = c.cols();
   const std::size_t kDim = transA ? a.rows() : a.cols();
@@ -140,14 +158,15 @@ void tiledGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
   const std::size_t rowPanels = (m + mrMax - 1) / mrMax;
   const std::size_t nc = resolveNc(nrMax);
 
-  auto& pool = common::ThreadPool::global();
-  const bool parallel =
-      pool.size() > 1 && rowPanels > 1 && 2 * m * n * kDim >= kParallelFlops;
-
   for (std::size_t j0 = 0; j0 < n; j0 += nc) {
     const std::size_t jb = std::min(nc, n - j0);
-    packB(tlsBPack, b, transB, j0, jb, kDim, nrMax);
-    const double* bPack = tlsBPack.data();
+    const double* bPack = nullptr;
+    if (bPacked != nullptr) {
+      bPack = bPacked + (j0 / nrMax) * kDim * nrMax;
+    } else {
+      packB(tlsBPack, b, transB, j0, jb, kDim, nrMax);
+      bPack = tlsBPack.data();
+    }
     const std::size_t colPanels = (jb + nrMax - 1) / nrMax;
 
     auto rowPanel = [&](std::size_t p) {
@@ -162,8 +181,13 @@ void tiledGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
       }
     };
 
-    if (parallel) {
-      pool.parallelFor(0, rowPanels, rowPanel);
+    if (workers > 1) {
+      common::ThreadPool::global().parallelFor(0, workers, [&](std::size_t w) {
+        const std::size_t end = rowPanels * (w + 1) / workers;
+        for (std::size_t p = rowPanels * w / workers; p < end; ++p) {
+          rowPanel(p);
+        }
+      });
     } else {
       // Direct loop, not parallelFor: the pooled path wraps the body in a
       // std::function (which may allocate), and the single-thread training
@@ -343,22 +367,78 @@ std::vector<GemmLevelInfo> availableGemmLevels() {
   return out;
 }
 
+GemmPath gemmPath(std::size_t m, std::size_t n, std::size_t k,
+                  std::size_t threads) {
+  if (m * n * k <= kDirectGemmFlops) return GemmPath::kDirect;
+  return pooledWorkers(m, n, k, threads, activeGemmLevelInfo().mr) > 1
+             ? GemmPath::kPooled
+             : GemmPath::kInline;
+}
+
+namespace {
+
+/// The tiled kernel family's product, after the naive-kernel dispatch:
+/// direct loop, inline or pooled packed micro-tiles (gemmPath), with op(B)
+/// taken from \p bPacked when non-null.
+void tiledProduct(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
+                  bool transB, double alpha, double beta,
+                  const MicroKernelEntry& kernel, const double* bPacked) {
+  prepareC(c, a, b, transA, transB, beta);
+  const std::size_t m = c.rows();
+  const std::size_t n = c.cols();
+  const std::size_t kDim = transA ? a.rows() : a.cols();
+  if (m * n * kDim <= kDirectGemmFlops) {
+    directGemm(c, a, b, transA, transB, alpha,
+               kernel.info.level != KernelLevel::kSse2);
+    return;
+  }
+  const std::size_t workers =
+      pooledWorkers(m, n, kDim, common::ThreadPool::global().size(),
+                    kernel.info.mr);
+  tiledGemm(c, a, b, transA, transB, alpha, kernel, workers, bPacked);
+}
+
+}  // namespace
+
 void gemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
           bool transB, double alpha, double beta) {
   if (gemmKernel() == GemmKernel::kNaive) {
     referenceGemm(c, a, b, transA, transB, alpha, beta);
     return;
   }
-  prepareC(c, a, b, transA, transB, beta);
-  const MicroKernelEntry kernel =
-      microKernelForLevel(common::simd::activeKernelLevel());
-  const std::size_t kDim = transA ? a.rows() : a.cols();
-  if (c.rows() * c.cols() * kDim <= kDirectGemmFlops) {
-    directGemm(c, a, b, transA, transB, alpha,
-               kernel.info.level != KernelLevel::kSse2);
+  tiledProduct(c, a, b, transA, transB, alpha, beta,
+               microKernelForLevel(common::simd::activeKernelLevel()),
+               nullptr);
+}
+
+void PackedB::pack(const Matrix& b, bool transB) {
+  const GemmLevelInfo info = activeGemmLevelInfo();
+  const std::size_t kDim = transB ? b.cols() : b.rows();
+  const std::size_t n = transB ? b.rows() : b.cols();
+  packB(panels_, b, transB, 0, n, kDim, info.nr);
+  source_ = &b;
+  rows_ = b.rows();
+  cols_ = b.cols();
+  transB_ = transB;
+  level_ = info.level;
+}
+
+void gemm(Matrix& c, const Matrix& a, const PackedB& b, bool transA,
+          double alpha, double beta) {
+  if (b.source_ == nullptr) {
+    throw std::invalid_argument("gemm: PackedB used before pack()");
+  }
+  const Matrix& src = *b.source_;
+  if (src.rows() != b.rows_ || src.cols() != b.cols_) {
+    throw std::logic_error("gemm: PackedB source reshaped since pack()");
+  }
+  const KernelLevel level = common::simd::activeKernelLevel();
+  if (gemmKernel() == GemmKernel::kNaive || level != b.level_) {
+    gemm(c, a, src, transA, b.transB_, alpha, beta);
     return;
   }
-  tiledGemm(c, a, b, transA, transB, alpha, kernel);
+  tiledProduct(c, a, src, transA, b.transB_, alpha, beta,
+               microKernelForLevel(level), b.panels_.data());
 }
 
 void referenceGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,

@@ -14,6 +14,9 @@
 /// is bit-identical to the naive reference for finite inputs and, because
 /// parallelism only splits the M dimension (disjoint rows, unchanged
 /// per-row order), bit-identical at any thread count (DESIGN.md Sec. 8/9).
+/// A product is split across the pool only when every worker's share of
+/// row panels is worth the fork/join (gemmPath); smaller products run on
+/// the calling thread.
 ///
 /// Determinism note: cache blocking deliberately never splits K. Splitting
 /// K would accumulate partial sums into C in a different order than the
@@ -58,6 +61,56 @@ GemmKernel gemmKernel();
 /// existing values before the final per-element addition.
 void gemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA = false,
           bool transB = false, double alpha = 1.0, double beta = 0.0);
+
+/// Where gemm() runs a product with the tiled kernel. Every path produces
+/// the same bits; the choice is performance only.
+enum class GemmPath {
+  kDirect,  ///< below one micro-tile of work: unpacked per-element loop
+  kInline,  ///< packed micro-tiles on the calling thread
+  kPooled,  ///< packed micro-tiles, row panels split across pool workers
+};
+
+/// The path gemm() takes for C[m x n] = op(A)[m x k] * op(B)[k x n] at the
+/// active kernel level on a pool of \p threads workers. A product is
+/// pooled only when it splits into at least two row-panel shares of at
+/// least a fixed per-worker FLOP floor each (about 4 MFLOP: below it the
+/// fork/join costs more than the share saves). Tests assert it to show
+/// which path they cover.
+GemmPath gemmPath(std::size_t m, std::size_t n, std::size_t k,
+                  std::size_t threads);
+
+/// op(B) packed once into the active kernel level's column panels, for a
+/// right operand reused by many products (an LSTM weight at every
+/// timestep). Packing only moves data, so a product with a PackedB is
+/// bit-identical to the same product with its source matrix.
+///
+/// The operand keeps a pointer to its source, which must outlive it. The
+/// panels are a copy: repack after every change to the source's values
+/// (a reshaped source makes gemm throw std::logic_error).
+class PackedB {
+ public:
+  /// Packs op(b) for the active kernel level, reusing the panel buffer.
+  void pack(const Matrix& b, bool transB = false);
+
+ private:
+  friend void gemm(Matrix& c, const Matrix& a, const PackedB& b, bool transA,
+                   double alpha, double beta);
+
+  const Matrix* source_ = nullptr;
+  std::size_t rows_ = 0;  ///< source shape at pack() time
+  std::size_t cols_ = 0;
+  bool transB_ = false;
+  common::simd::KernelLevel level_ = common::simd::KernelLevel::kSse2;
+  std::vector<double> panels_;
+};
+
+/// C = beta * C + alpha * op(A) * op(B) with op(B) pre-packed: the same
+/// argument rules and bits as gemm(c, a, source, transA, transB, alpha,
+/// beta), which it falls back to for the naive kernel, the direct path and
+/// a kernel level other than the one \p b was packed for. Throws
+/// std::invalid_argument before the first pack().
+void gemm(Matrix& c, const Matrix& a, const PackedB& b, bool transA = false,
+          double alpha = 1.0, double beta = 0.0);
 
 /// The seed-faithful naive kernel behind GemmKernel::kNaive, exposed so
 /// tests can compare the tiled kernel against it regardless of the global

@@ -1,7 +1,9 @@
 #include "nn/lstm.h"
 
+#include <exception>
 #include <stdexcept>
 
+#include "common/thread_pool.h"
 #include "linalg/gemm.h"
 #include "nn/ops.h"
 
@@ -44,6 +46,8 @@ const std::vector<Matrix>& Lstm::forward(const std::vector<Matrix>& xs) {
   hPrev_.fill(0.0);
   ensureShape(cPrev_, batch, h);
   cPrev_.fill(0.0);
+  wxPacked_.pack(wx_.value);
+  whPacked_.pack(wh_.value);
 
   for (std::size_t t = 0; t < steps; ++t) {
     const Matrix& x = xs[t];
@@ -53,8 +57,8 @@ const std::vector<Matrix>& Lstm::forward(const std::vector<Matrix>& xs) {
     // a = x*wx + hPrev*wh + b, accumulated in place: the second gemm adds
     // each complete hPrev*wh element in one rounding step, matching the
     // former materialize-then-add evaluation bit for bit.
-    gemm(a_, x, wx_.value);
-    gemm(a_, hPrev_, wh_.value, false, false, 1.0, 1.0);
+    gemm(a_, x, wxPacked_);
+    gemm(a_, hPrev_, whPacked_, false, 1.0, 1.0);
     addRowBroadcastInPlace(a_, b_.value);
 
     StepCache& sc = cache_[t];
@@ -103,6 +107,8 @@ std::vector<Matrix>& Lstm::backward(const std::vector<Matrix>& dHs) {
   dhNext_.fill(0.0);
   ensureShape(dcNext_, batch, h);  // ... and into c_k
   dcNext_.fill(0.0);
+  wxPacked_.pack(wx_.value, true);
+  whPacked_.pack(wh_.value, true);
 
   for (std::size_t step = steps; step-- > 0;) {
     const StepCache& sc = cache_[step];
@@ -150,8 +156,8 @@ std::vector<Matrix>& Lstm::backward(const std::vector<Matrix>& dHs) {
     colSumsInto(colSumsBuf_, da_);
     b_.grad += colSumsBuf_;
 
-    gemm(dXs_[step], da_, wx_.value, false, true);
-    gemm(dhNext_, da_, wh_.value, false, true);
+    gemm(dXs_[step], da_, wxPacked_);
+    gemm(dhNext_, da_, whPacked_);
   }
   return dXs_;
 }
@@ -236,17 +242,54 @@ BiLstm::BiLstm(std::string name, std::size_t inputSize,
     : fwd_(name + ".fwd", inputSize, hiddenSize, rng),
       bwd_(name + ".bwd", inputSize, hiddenSize, rng) {}
 
+template <typename Body>
+void BiLstm::runDirections(Shape shape, std::optional<Shape>& sizedFor,
+                           const Body& body) {
+  auto& pool = common::ThreadPool::global();
+  // Inline on a single-thread pool: parallelFor would wrap the body in a
+  // std::function, and the single-thread training step must stay
+  // allocation-free. Inline also for the first pass at a new shape, so
+  // both directions' workspaces are allocated on this thread: buffers
+  // first allocated on workers land in glibc per-thread arenas and raise
+  // peak RSS.
+  if (pool.size() == 1 || shape != sizedFor) {
+    body(0);
+    body(1);
+    sizedFor = shape;
+    return;
+  }
+  std::exception_ptr failed[2];
+  pool.parallelFor(0, 2, [&](std::size_t d) {
+    try {
+      body(d);
+    } catch (...) {
+      failed[d] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : failed) {
+    if (e) std::rethrow_exception(e);
+  }
+}
+
 const std::vector<Matrix>& BiLstm::forward(const std::vector<Matrix>& xs) {
   const std::size_t steps = xs.size();
-  const std::vector<Matrix>& hf = fwd_.forward(xs);
-
   if (revXs_.size() != steps) revXs_.resize(steps);
   for (std::size_t t = 0; t < steps; ++t) revXs_[t] = xs[steps - 1 - t];
-  const std::vector<Matrix>& hbRev = bwd_.forward(revXs_);
+
+  const std::vector<Matrix>* hf = nullptr;
+  const std::vector<Matrix>* hbRev = nullptr;
+  const Shape shape{steps, steps == 0 ? 0 : xs.front().rows()};
+  runDirections(shape, forwardSizedFor_, [&](std::size_t d) {
+    if (d == 0) {
+      hf = &fwd_.forward(xs);
+    } else {
+      hbRev = &bwd_.forward(revXs_);
+    }
+  });
 
   if (outs_.size() != steps) outs_.resize(steps);
   for (std::size_t t = 0; t < steps; ++t) {
-    concatColsInto(outs_[t], hf[t], hbRev[steps - 1 - t]);
+    concatColsInto(outs_[t], (*hf)[t], (*hbRev)[steps - 1 - t]);
   }
   return outs_;
 }
@@ -261,13 +304,21 @@ const std::vector<Matrix>& BiLstm::backward(const std::vector<Matrix>& dHs) {
     sliceColsInto(dBwdRev_[steps - 1 - t], dHs[t], h, 2 * h);
   }
 
-  const std::vector<Matrix>& dXf = fwd_.backward(dFwd_);
-  const std::vector<Matrix>& dXbRev = bwd_.backward(dBwdRev_);
+  const std::vector<Matrix>* dXf = nullptr;
+  const std::vector<Matrix>* dXbRev = nullptr;
+  const Shape shape{steps, steps == 0 ? 0 : dHs.front().rows()};
+  runDirections(shape, backwardSizedFor_, [&](std::size_t d) {
+    if (d == 0) {
+      dXf = &fwd_.backward(dFwd_);
+    } else {
+      dXbRev = &bwd_.backward(dBwdRev_);
+    }
+  });
 
   if (dXs_.size() != steps) dXs_.resize(steps);
   for (std::size_t t = 0; t < steps; ++t) {
-    dXs_[t] = dXf[t];
-    dXs_[t] += dXbRev[steps - 1 - t];
+    dXs_[t] = (*dXf)[t];
+    dXs_[t] += (*dXbRev)[steps - 1 - t];
   }
   return dXs_;
 }

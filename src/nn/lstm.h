@@ -14,10 +14,13 @@
 /// until the *next* forward()/backward() on the same layer; callers that
 /// need the values past that point copy them (`const auto hs = ...`).
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "linalg/gemm.h"
 #include "nn/dropout.h"
 #include "nn/parameter.h"
 
@@ -67,6 +70,10 @@ class Lstm {
   Matrix hPrev_, cPrev_, a_;  ///< forward scratch
   Matrix dhNext_, dcNext_, dh_, dOut_, dTanhC_, dcTmp_, dc_;  ///< backward
   Matrix dI_, dG_, dF_, da_, colSumsBuf_;
+  // wx / wh packed once per pass: as-is for forward's gate products, as
+  // transposes for backward's dX / dhNext. Repacked on every pass, since
+  // the optimizer changes the weights between passes.
+  linalg::PackedB wxPacked_, whPacked_;
 };
 
 /// Stack of LSTM layers with dropout between layers (not after the last),
@@ -97,6 +104,11 @@ class StackedLstm {
 
 /// Bidirectional LSTM: forward and reverse passes concatenated per step
 /// -> [batch x 2H].
+///
+/// The two directions share no parameters, gradients or workspaces and
+/// draw no randomness, so on a multi-thread pool they run as two pool
+/// tasks (DESIGN.md Sec. 8); the result is bit-identical to running them
+/// one after the other.
 class BiLstm {
  public:
   BiLstm(std::string name, std::size_t inputSize, std::size_t hiddenSize,
@@ -112,9 +124,20 @@ class BiLstm {
   ParameterList parameters();
 
  private:
+  using Shape = std::pair<std::size_t, std::size_t>;  ///< (steps, batch)
+
+  /// Runs body(0) (forward direction) and body(1) (reverse direction);
+  /// throws what a serial run would have thrown first.
+  template <typename Body>
+  void runDirections(Shape shape, std::optional<Shape>& sizedFor,
+                     const Body& body);
+
   Lstm fwd_;
   Lstm bwd_;
   std::vector<Matrix> revXs_, outs_, dFwd_, dBwdRev_, dXs_;
+  // The shape each pass last completed at on the calling thread, which
+  // sized both directions' workspaces for it.
+  std::optional<Shape> forwardSizedFor_, backwardSizedFor_;
 };
 
 }  // namespace rfp::nn

@@ -12,6 +12,7 @@
 #include <complex>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cpuid.h"
@@ -260,12 +261,19 @@ TEST(KernelGemm, EveryLevelBitIdenticalToItsReference) {
 
 TEST(KernelGemm, EveryLevelThreadInvariantAndReferenceExact) {
   LevelGuard guard;
-  linalg::Matrix a(64, 96);
-  linalg::Matrix b(96, 80);
+  linalg::Matrix a(192, 288);
+  linalg::Matrix b(288, 240);
   lcgFill(a, 31);
   lcgFill(b, 32);
   for (KernelLevel level : simd::availableKernelLevels()) {
     simd::setActiveKernelLevel(level);
+    // The multi-thread runs must take the pooled path at every level.
+    for (std::size_t threads : {2ul, 4ul}) {
+      ASSERT_EQ(linalg::gemmPath(192, 240, 288, threads),
+                linalg::GemmPath::kPooled)
+          << "level=" << simd::kernelLevelName(level)
+          << " threads=" << threads;
+    }
     linalg::Matrix ref;
     linalg::referenceGemmForLevel(level, ref, a, b);
     for (std::size_t threads : {1ul, 2ul, 4ul}) {
@@ -278,6 +286,87 @@ TEST(KernelGemm, EveryLevelThreadInvariantAndReferenceExact) {
     }
     common::ThreadPool::setGlobalThreads(0);
   }
+}
+
+TEST(KernelGemm, PackedOperandBitIdenticalToPlainProduct) {
+  LevelGuard guard;
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  // 9x40x600 spans three column blocks at the default RFP_GEMM_NC (256),
+  // the last one partial; 5x7x3 takes the direct path; 192x288x240 is
+  // pooled at 4 threads.
+  const Shape shapes[] = {
+      {33, 17, 29}, {32, 64, 256}, {9, 40, 600}, {5, 7, 3}, {192, 288, 240}};
+  std::uint64_t seed = 501;
+  for (KernelLevel level : simd::availableKernelLevels()) {
+    simd::setActiveKernelLevel(level);
+    for (std::size_t threads : {1ul, 4ul}) {
+      common::ThreadPool::setGlobalThreads(threads);
+      for (const Shape& s : shapes) {
+        for (int transA = 0; transA < 2; ++transA) {
+          for (int transB = 0; transB < 2; ++transB) {
+            linalg::Matrix a(transA ? s.k : s.m, transA ? s.m : s.k);
+            linalg::Matrix b(transB ? s.n : s.k, transB ? s.k : s.n);
+            linalg::Matrix cInit(s.m, s.n);
+            lcgFill(a, seed++);
+            lcgFill(b, seed++);
+            lcgFill(cInit, seed++);
+            linalg::PackedB packed;
+            packed.pack(b, transB != 0);
+            for (const auto& [alpha, beta] :
+                 {std::pair{1.0, 0.0}, std::pair{-0.5, 0.7}}) {
+              linalg::Matrix plain = cInit;
+              linalg::Matrix fromPacked = cInit;
+              linalg::gemm(plain, a, b, transA != 0, transB != 0, alpha,
+                           beta);
+              linalg::gemm(fromPacked, a, packed, transA != 0, alpha, beta);
+              ASSERT_TRUE(bitIdentical(plain, fromPacked))
+                  << "level=" << simd::kernelLevelName(level)
+                  << " threads=" << threads << " m=" << s.m << " k=" << s.k
+                  << " n=" << s.n << " tA=" << transA << " tB=" << transB
+                  << " alpha=" << alpha << " beta=" << beta;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelGemm, PackedOperandFallsBackAndRejectsMisuse) {
+  LevelGuard guard;
+  linalg::Matrix a(12, 20);
+  linalg::Matrix b(20, 36);
+  lcgFill(a, 601);
+  lcgFill(b, 602);
+
+  // Packed at the widest level, run at sse2: the plain sse2 product.
+  const auto levels = simd::availableKernelLevels();
+  simd::setActiveKernelLevel(levels.back());
+  linalg::PackedB packed;
+  packed.pack(b);
+  simd::setActiveKernelLevel(KernelLevel::kSse2);
+  linalg::Matrix plain, fromPacked;
+  linalg::gemm(plain, a, b);
+  linalg::gemm(fromPacked, a, packed);
+  EXPECT_TRUE(bitIdentical(plain, fromPacked));
+
+  // The naive kernel ignores the panels and runs the seed loop.
+  linalg::setGemmKernel(linalg::GemmKernel::kNaive);
+  linalg::Matrix naive;
+  linalg::gemm(naive, a, packed);
+  linalg::setGemmKernel(linalg::GemmKernel::kTiled);
+  linalg::Matrix reference;
+  linalg::referenceGemm(reference, a, b);
+  EXPECT_TRUE(bitIdentical(naive, reference));
+
+  linalg::PackedB unpacked;
+  EXPECT_THROW(linalg::gemm(plain, a, unpacked), std::invalid_argument);
+  // C may not alias the packed operand's source.
+  EXPECT_THROW(linalg::gemm(b, a, packed), std::invalid_argument);
+  b.resize(20, 40);
+  EXPECT_THROW(linalg::gemm(plain, a, packed), std::logic_error);
 }
 
 TEST(KernelGemm, FmaWidthsBitIdenticalToEachOther) {

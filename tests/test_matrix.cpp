@@ -219,15 +219,17 @@ TEST(Gemm, ThrowsOnShapeErrors) {
 }
 
 TEST(Gemm, BitIdenticalAcrossThreadCounts) {
-  // Big enough to cross the parallel-dispatch FLOP threshold.
-  Matrix a(64, 96);
-  Matrix b(96, 80);
+  Matrix a(192, 288);
+  Matrix b(288, 240);
   lcgFill(a, 31);
   lcgFill(b, 32);
   common::ThreadPool::setGlobalThreads(1);
   Matrix c1;
   gemm(c1, a, b);
   for (std::size_t threads : {2ul, 4ul}) {
+    // The shape must take the pooled path, or this compares inline runs.
+    ASSERT_EQ(gemmPath(192, 240, 288, threads), GemmPath::kPooled)
+        << "threads=" << threads;
     common::ThreadPool::setGlobalThreads(threads);
     Matrix cN;
     gemm(cN, a, b);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "nn/gradcheck.h"
 #include "nn/lstm.h"
 #include "nn/ops.h"
@@ -201,6 +204,70 @@ TEST(BiLstm, InputGradientMatchesNumeric) {
       EXPECT_NEAR(dxs[t](0, j), numeric, 2e-5);
     }
   }
+}
+
+bool bitIdentical(const std::vector<Matrix>& a, const std::vector<Matrix>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].rows() != b[i].rows() || a[i].cols() != b[i].cols() ||
+        std::memcmp(a[i].data().data(), b[i].data().data(),
+                    a[i].data().size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+struct BiLstmPass {
+  std::vector<Matrix> outs, dXs, grads;
+};
+
+/// A fresh BiLstm's outputs, input gradients and parameter gradients from
+/// its second pass on a pool of \p threads: the first pass at a shape runs
+/// the directions inline, so only later passes run them as pool tasks.
+BiLstmPass biLstmPass(std::size_t threads) {
+  rfp::common::ThreadPool::setGlobalThreads(threads);
+  rfp::common::Rng rng(23);
+  BiLstm bi("b", 6, 16, rng);
+  rfp::common::Rng dataRng(24);
+  const auto xs = randomSequence(9, 8, 6, dataRng);
+  const auto dHs = randomSequence(9, 8, 32, dataRng);
+  BiLstmPass out;
+  for (int pass = 0; pass < 2; ++pass) {
+    zeroGradients(bi.parameters());
+    out.outs = bi.forward(xs);
+    out.dXs = bi.backward(dHs);
+  }
+  for (const Parameter* p : bi.parameters()) out.grads.push_back(p->grad);
+  rfp::common::ThreadPool::setGlobalThreads(0);
+  return out;
+}
+
+TEST(BiLstm, BitIdenticalAcrossThreadCounts) {
+  const BiLstmPass serial = biLstmPass(1);
+  ASSERT_EQ(serial.grads.size(), 6u);
+  for (std::size_t threads : {2ul, 4ul}) {
+    const BiLstmPass pooled = biLstmPass(threads);
+    EXPECT_TRUE(bitIdentical(serial.outs, pooled.outs)) << threads;
+    EXPECT_TRUE(bitIdentical(serial.dXs, pooled.dXs)) << threads;
+    EXPECT_TRUE(bitIdentical(serial.grads, pooled.grads)) << threads;
+  }
+}
+
+TEST(BiLstm, PooledPassThrowsTheSerialException) {
+  rfp::common::ThreadPool::setGlobalThreads(4);
+  rfp::common::Rng rng(25);
+  BiLstm bi("b", 3, 4, rng);
+  rfp::common::Rng dataRng(26);
+  const auto xs = randomSequence(5, 2, 3, dataRng);
+  const auto dHs = randomSequence(5, 2, 8, dataRng);
+  bi.forward(xs);
+  bi.backward(dHs);
+  // A shorter forward leaves dHs one step too long for both directions;
+  // backward's shape is unchanged, so the directions run as pool tasks.
+  bi.forward(randomSequence(4, 2, 3, dataRng));
+  EXPECT_THROW(bi.backward(dHs), std::invalid_argument);
+  rfp::common::ThreadPool::setGlobalThreads(0);
 }
 
 }  // namespace

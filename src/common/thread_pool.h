@@ -2,7 +2,8 @@
 
 /// \file thread_pool.h
 /// Shared worker pool driving the simulation hot paths (beat-signal
-/// synthesis, range FFT + beamforming, multipath image expansion).
+/// synthesis, range FFT + beamforming, multipath image expansion) and the
+/// training step (large GEMMs, the Bi-LSTM's two directions).
 ///
 /// Determinism contract (DESIGN.md Sec. 8). The pool never owns
 /// randomness and never influences numeric results: callers hand it

@@ -50,14 +50,6 @@ class Rng {
     return std::exponential_distribution<double>(lambda)(engine_);
   }
 
-  /// Vector of iid standard normal samples.
-  std::vector<double> gaussianVector(std::size_t n, double mean = 0.0,
-                                     double stddev = 1.0) {
-    std::vector<double> v(n);
-    for (auto& x : v) x = gaussian(mean, stddev);
-    return v;
-  }
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

@@ -1,37 +1,104 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
-#include <deque>
-#include <memory>
+#include <cstring>
+#include <exception>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 namespace rfp::common {
 
 namespace {
 
-/// True on threads owned by some pool; nested parallelFor calls from a
-/// worker run inline instead of re-entering the queue (which could
-/// deadlock once every worker waits on work only other workers can run).
-thread_local bool tlsInsideWorker = false;
+/// True while this thread runs chunks of some pool's job (always on
+/// workers, during its own job on a caller): nested parallelFor calls run
+/// inline instead of waiting on a slot only this job can free.
+thread_local bool tlsInsideJob = false;
 
 }  // namespace
 
 struct ThreadPool::Impl {
+  explicit Impl(std::size_t threads) : wake(threads - 1), failures(threads) {}
+
   std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<std::packaged_task<void()>> queue;
+  std::vector<std::condition_variable> wake;  ///< one per worker
+  std::condition_variable done;               ///< active reached 0
+
+  // Guarded by `mutex`, except that the threads inside a job use the job
+  // and the failure slots unlocked between joining and leaving it.
+  bool busy = false;  ///< a caller owns the slot
+  struct Job {
+    ChunkFn fn = nullptr;
+    const void* ctx = nullptr;
+    std::size_t begin = 0;
+    std::size_t range = 0;
+    std::size_t chunks = 0;
+  } job;
+  std::uint64_t generation = 0;  ///< bumped per job
+  bool open = false;             ///< joinable; closed once all are claimed
+  std::size_t active = 0;        ///< workers inside the job
   bool stopping = false;
+
+  std::vector<std::exception_ptr> failures;  ///< one slot per chunk
+  std::atomic<std::size_t> next{0};          ///< the claim word
+
+  void claimChunks() {
+    const Job& j = job;
+    for (std::size_t c = next++; c < j.chunks; c = next++) {
+      try {
+        j.fn(j.ctx, j.begin + j.range * c / j.chunks,
+             j.begin + j.range * (c + 1) / j.chunks);
+      } catch (...) {
+        failures[c] = std::current_exception();
+      }
+    }
+  }
+
+  /// The job's outcome -- null, the one failure unchanged, or an
+  /// aggregate -- leaving every slot empty for the next job.
+  std::exception_ptr takeFailures() {
+    constexpr std::size_t kMaxQuoted = 3;
+    std::size_t failed = 0;
+    std::exception_ptr first;
+    std::string reasons;
+    for (std::size_t c = 0; c < job.chunks; ++c) {
+      const std::exception_ptr e = std::exchange(failures[c], nullptr);
+      if (!e) continue;
+      if (failed == 0) first = e;
+      if (failed < kMaxQuoted) {
+        reasons += "; [" + std::to_string(failed) + "] ";
+        try {
+          std::rethrow_exception(e);
+        } catch (const std::exception& x) {
+          reasons += x.what();
+        } catch (...) {
+          reasons += "<non-standard>";
+        }
+      }
+      ++failed;
+    }
+    if (failed < 2) return first;
+    if (failed > kMaxQuoted) reasons += "; ...";
+    return std::make_exception_ptr(ParallelForError(
+        "parallelFor: " + std::to_string(failed) + " of " +
+            std::to_string(job.chunks) + " chunks failed" + reasons,
+        failed));
+  }
 };
 
 std::size_t ThreadPool::resolveThreadCount() {
   if (const char* env = std::getenv("RFP_THREADS")) {
+    // strtoul accepts a sign and wraps "-1" to ULONG_MAX: reject it.
     char* end = nullptr;
     const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1) {
+    if (end != env && *end == '\0' && parsed >= 1 &&
+        std::strchr(env, '-') == nullptr) {
       return std::min<std::size_t>(parsed, 256);
     }
   }
@@ -41,11 +108,10 @@ std::size_t ThreadPool::resolveThreadCount() {
 
 ThreadPool::ThreadPool(std::size_t threads)
     : size_(threads == 0 ? resolveThreadCount() : threads),
-      impl_(std::make_unique<Impl>()) {
-  if (size_ < 2) return;  // inline fallback: no threads at all
-  workers_.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    workers_.emplace_back([this] { runWorker(); });
+      impl_(std::make_unique<Impl>(size_)) {
+  workers_.reserve(size_ - 1);
+  for (std::size_t w = 0; w + 1 < size_; ++w) {
+    workers_.emplace_back([this, w] { runWorker(w); });
   }
 }
 
@@ -54,98 +120,64 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->stopping = true;
   }
-  impl_->cv.notify_all();
+  for (std::condition_variable& cv : impl_->wake) cv.notify_one();
   for (std::thread& w : workers_) w.join();
-  // Inline pools (and the rare job enqueued after stop) drain here.
-  while (!impl_->queue.empty()) {
-    auto task = std::move(impl_->queue.front());
-    impl_->queue.pop_front();
-    task();
-  }
 }
 
-void ThreadPool::runWorker() {
-  tlsInsideWorker = true;
+void ThreadPool::runWorker(std::size_t index) {
+  tlsInsideJob = true;
+  Impl& s = *impl_;
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(s.mutex);
   for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(impl_->mutex);
-      impl_->cv.wait(lock, [this] {
-        return impl_->stopping || !impl_->queue.empty();
-      });
-      // Drain-before-join: only exit once the queue is empty, so jobs
-      // pending at shutdown still run.
-      if (impl_->queue.empty()) return;
-      task = std::move(impl_->queue.front());
-      impl_->queue.pop_front();
-    }
-    task();
+    s.wake[index].wait(lock, [&] {
+      return s.stopping || (s.open && s.generation != seen);
+    });
+    if (s.stopping) return;
+    seen = s.generation;
+    ++s.active;
+    lock.unlock();
+    s.claimChunks();
+    lock.lock();
+    if (--s.active == 0 && !s.open) s.done.notify_one();
   }
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> job) {
-  std::packaged_task<void()> task(std::move(job));
-  std::future<void> future = task.get_future();
-  if (workers_.empty()) {
-    task();  // single-worker pool: run inline
-    return future;
+bool ThreadPool::forkJoin(ChunkFn fn, const void* ctx, std::size_t begin,
+                          std::size_t end) {
+  if (workers_.empty() || begin >= end || end - begin == 1 || tlsInsideJob) {
+    return false;
   }
+  Impl& s = *impl_;
+  const std::size_t chunks = std::min(size_, end - begin);
   {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->queue.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(s.mutex);
+    if (s.busy) return false;  // another caller's job holds the slot
+    s.busy = true;
+    s.job = {fn, ctx, begin, end - begin, chunks};
+    s.next = 0;
+    s.open = true;
+    ++s.generation;
   }
-  impl_->cv.notify_one();
-  return future;
-}
+  // Wake only the workers the job can use; the caller is the last one.
+  for (std::size_t w = 0; w + 1 < chunks; ++w) s.wake[w].notify_one();
 
-void ThreadPool::parallelFor(std::size_t begin, std::size_t end,
-                             const std::function<void(std::size_t)>& body) {
-  if (begin >= end) return;
-  const std::size_t range = end - begin;
-  if (workers_.empty() || range == 1 || tlsInsideWorker) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
+  tlsInsideJob = true;
+  s.claimChunks();
+  tlsInsideJob = false;
 
-  const std::size_t chunks = std::min(size_, range);
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + range * c / chunks;
-    const std::size_t hi = begin + range * (c + 1) / chunks;
-    futures.push_back(submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }));
+  // Every chunk is claimed. Close the job to late wakers and wait only for
+  // the workers already inside it, so `body` outlives its last use.
+  std::exception_ptr failure;
+  {
+    std::unique_lock<std::mutex> lock(s.mutex);
+    s.open = false;
+    s.done.wait(lock, [&] { return s.active == 0; });
+    failure = s.takeFailures();
+    s.busy = false;
   }
-
-  // Wait for every chunk before rethrowing, so `body`'s captures stay
-  // alive for stragglers even when an early chunk failed. Every failure is
-  // collected: rethrowing only the first would silently drop the rest.
-  std::vector<std::exception_ptr> failures;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      failures.push_back(std::current_exception());
-    }
-  }
-  if (failures.empty()) return;
-  if (failures.size() == 1) std::rethrow_exception(failures.front());
-
-  std::string message = "parallelFor: " + std::to_string(failures.size()) +
-                        " of " + std::to_string(chunks) + " chunks failed";
-  constexpr std::size_t kMaxQuoted = 3;
-  for (std::size_t i = 0; i < std::min(failures.size(), kMaxQuoted); ++i) {
-    try {
-      std::rethrow_exception(failures[i]);
-    } catch (const std::exception& e) {
-      message += std::string("; [") + std::to_string(i) + "] " + e.what();
-    } catch (...) {
-      message += std::string("; [") + std::to_string(i) + "] <non-standard>";
-    }
-  }
-  if (failures.size() > kMaxQuoted) message += "; ...";
-  throw ParallelForError(std::move(message), failures.size());
+  if (failure) std::rethrow_exception(failure);
+  return true;
 }
 
 namespace {

@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file thread_pool.h
-/// Shared worker pool driving the simulation hot paths (beat-signal
-/// synthesis, range FFT + beamforming, multipath image expansion) and the
-/// training step (large GEMMs, the Bi-LSTM's two directions).
+/// Shared fork/join pool driving the simulation hot paths (beat-signal
+/// synthesis, range FFT + beamforming, multipath image expansion), the
+/// training step (large GEMMs, the Bi-LSTM's two directions) and the
+/// fleet's per-epoch tasks.
 ///
 /// Determinism contract (DESIGN.md Sec. 8). The pool never owns
 /// randomness and never influences numeric results: callers hand it
@@ -13,15 +14,12 @@
 /// sequential engine. Output is therefore bit-identical at any thread
 /// count, including the inline single-thread fallback.
 ///
-/// Sizing. A default-constructed pool takes its worker count from the
-/// `RFP_THREADS` environment variable when set (clamped to [1, 256];
-/// unparsable values are ignored), else `std::thread::hardware_concurrency`.
-/// With one worker no threads are spawned at all and every job runs
-/// inline on the calling thread.
+/// Execution (DESIGN.md Sec. 8). A pool of size N owns N - 1 workers and
+/// one job slot; the woken workers and the calling thread claim a job's
+/// static chunks from one atomic word, and the chunked path allocates
+/// nothing. A pool of size 1 spawns no threads and runs every loop inline.
 
 #include <cstddef>
-#include <functional>
-#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -46,65 +44,79 @@ class ParallelForError : public std::runtime_error {
   std::size_t failureCount_;
 };
 
-/// Fixed-size shared-queue worker pool.
+/// Fixed-size fork/join pool with a single job slot.
 ///
-/// Thread-safety: submit() and parallelFor() may be called concurrently
-/// from different threads; construction, destruction, and the global-pool
-/// management calls (setGlobalThreads) must not race with job submission.
+/// Thread-safety: parallelFor() may be called concurrently from different
+/// threads -- a caller that finds the slot taken runs its loop inline;
+/// construction, destruction, and the global-pool management calls
+/// (setGlobalThreads) must not race with parallelFor.
 class ThreadPool {
+  /// Type-erased loop over [lo, hi) of the body at \p ctx.
+  using ChunkFn = void (*)(const void* ctx, std::size_t lo, std::size_t hi);
+
  public:
-  /// Creates \p threads workers; 0 means resolveThreadCount(). A pool of
-  /// size 1 spawns no threads and runs all work inline.
+  /// Sizes the pool at \p threads (0 means resolveThreadCount()) and
+  /// spawns threads - 1 workers; the calling thread of each job is the
+  /// last participant. A pool of size 1 spawns nothing.
   explicit ThreadPool(std::size_t threads = 0);
 
-  /// Drains every job still queued, then joins the workers. Pending jobs
-  /// submitted before destruction are guaranteed to run.
+  /// Joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of workers (>= 1).
+  /// Number of threads a job runs on (>= 1).
   std::size_t size() const { return size_; }
 
-  /// Enqueues one job. The returned future rethrows any exception the job
-  /// raised. With a single-worker pool the job runs inline before return.
-  std::future<void> submit(std::function<void()> job);
-
-  /// Runs body(i) for every i in [begin, end), statically chunked across
-  /// the workers, and blocks until all iterations finished. Iterations
-  /// must write to disjoint state. Exceptions are aggregated after every
-  /// chunk has settled: one failing chunk rethrows its original exception
+  /// Runs body(i) for every i in [begin, end) and blocks until all
+  /// iterations finished. The range is split into min(size, range) static
+  /// chunks [begin + range*c/N, begin + range*(c+1)/N). Iterations must
+  /// write to disjoint state. Exceptions are aggregated after every chunk
+  /// has settled: one failing chunk rethrows its original exception
   /// unchanged; several failing chunks throw ParallelForError carrying the
   /// failure count (no failure is dropped silently). Runs inline
-  /// (deterministically, in index order) when the
-  /// pool has one worker, the range is a single index, or the caller is
-  /// itself a pool worker (nested parallelism degrades to serial instead
-  /// of deadlocking).
-  void parallelFor(std::size_t begin, std::size_t end,
-                   const std::function<void(std::size_t)>& body);
+  /// (deterministically, in index order) when the pool has size 1, the
+  /// range is a single index, the caller is itself running a chunk of some
+  /// pool's job (nested parallelism degrades to serial instead of
+  /// deadlocking), or another thread's job holds the slot.
+  template <typename Body>
+  void parallelFor(std::size_t begin, std::size_t end, const Body& body) {
+    const ChunkFn chunk = [](const void* ctx, std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) (*static_cast<const Body*>(ctx))(i);
+    };
+    if (forkJoin(chunk, &body, begin, end)) return;
+    for (std::size_t i = begin; i < end; ++i) body(i);
+  }
 
-  /// Worker count a default-constructed pool would use: `RFP_THREADS`
-  /// when set and parsable, else hardware_concurrency, floored at 1.
+  /// Size a default-constructed pool would use: `RFP_THREADS` when set to
+  /// a positive integer (clamped to 256; negative or unparsable values are
+  /// ignored), else hardware_concurrency, floored at 1.
   static std::size_t resolveThreadCount();
 
   /// Process-wide pool shared by the simulation hot paths. Created on
-  /// first use with resolveThreadCount() workers.
+  /// first use with resolveThreadCount() threads.
   static ThreadPool& global();
 
-  /// Replaces the global pool with one of \p threads workers (0 =
+  /// Replaces the global pool with one of \p threads threads (0 =
   /// re-resolve from the environment). Joins the old pool first; must not
   /// be called while other threads use the global pool. Intended for
   /// benches and tests that sweep thread counts.
   static void setGlobalThreads(std::size_t threads);
 
  private:
+  /// Runs [begin, end) chunked on the workers and this thread and returns
+  /// true, or returns false without running anything when the loop runs
+  /// inline instead.
+  bool forkJoin(ChunkFn fn, const void* ctx, std::size_t begin,
+                std::size_t end);
+
   struct Impl;
-  void runWorker();
+  void runWorker(std::size_t index);
 
   std::size_t size_ = 1;
-  std::vector<std::thread> workers_;
   std::unique_ptr<Impl> impl_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace rfp::common

@@ -50,14 +50,6 @@ void Environment::snapshotInto(std::vector<PointScatterer>& out, double t,
   }
 }
 
-std::vector<std::vector<PointScatterer>> multipathImagesBatch(
-    const FloorPlan& plan, std::span<const PointScatterer> primaries,
-    double extraLoss, std::optional<rfp::common::Vec2> observer) {
-  std::vector<std::vector<PointScatterer>> images;
-  multipathImagesBatchInto(plan, primaries, extraLoss, observer, images);
-  return images;
-}
-
 void multipathImagesBatchInto(
     const FloorPlan& plan, std::span<const PointScatterer> primaries,
     double extraLoss, std::optional<rfp::common::Vec2> observer,

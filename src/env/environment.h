@@ -70,16 +70,9 @@ class Environment {
 /// parallel on the global thread pool (one slot per primary, geometry
 /// only -- no randomness). Slot i holds plan.multipathImages(primaries[i],
 /// extraLoss, observer) in wall order; the batch is deterministic at any
-/// thread count.
-std::vector<std::vector<PointScatterer>> multipathImagesBatch(
-    const FloorPlan& plan, std::span<const PointScatterer> primaries,
-    double extraLoss,
-    std::optional<rfp::common::Vec2> observer = std::nullopt);
-
-/// multipathImagesBatch() into a reused nested buffer: \p images is
-/// resized to primaries.size() and each inner vector keeps its capacity
-/// across frames, so the steady-state per-frame path is allocation-free.
-/// Identical contents to multipathImagesBatch.
+/// thread count. \p images is resized to primaries.size() and each inner
+/// vector keeps its capacity across frames, so the steady-state per-frame
+/// path is allocation-free.
 void multipathImagesBatchInto(
     const FloorPlan& plan, std::span<const PointScatterer> primaries,
     double extraLoss, std::optional<rfp::common::Vec2> observer,

@@ -18,12 +18,12 @@ using rfp::common::simd::KernelLevel;
 namespace {
 
 // Per-worker work floor [FLOP] for splitting a product across the pool: a
-// worker's share of row panels must outweigh one task's fork/join (queue
-// lock, wake-up, future) several times over. On a 4-core AVX-512 host the
-// fork/join cost 25-50 us and 4 MFLOP is about 150 us of micro-tile work;
-// a 128^3 product (4.2 MFLOP) split in two ran slower than inline there.
-// Purely a performance threshold: the inline and pooled paths produce
-// identical bits.
+// worker's share of row panels must outweigh its wake-up and join several
+// times over. Set on a 4-core AVX-512 host against the queue-based pool
+// this one replaced, whose fork/join cost 25-50 us; 4 MFLOP is about
+// 150 us of micro-tile work, and a 128^3 product (4.2 MFLOP) split in two
+// ran slower than inline there. Purely a performance threshold: the
+// inline and pooled paths produce identical bits.
 constexpr std::size_t kPooledFlopsPerWorker = 1u << 22;
 
 /// Pool workers a tiled product is split across: one share of row panels
@@ -133,11 +133,12 @@ void packB(std::vector<double>& bp, const Matrix& b, bool transB,
   }
 }
 
-// Per-thread packing scratch. Workers each get their own A buffer; the B
-// panel is packed once per column block on the calling thread and read by
-// all workers (parallelFor's fork/join gives the happens-before edge).
-thread_local std::vector<double> tlsAPack;
-thread_local std::vector<double> tlsBPack;
+// Packing scratch: the thread's own unless a ScopedGemmScratch bound one.
+// Each participant packs its own A panels; the B panel is packed once per
+// column block by the calling thread and read by all of them (parallelFor's
+// fork/join gives the happens-before edge).
+thread_local GemmScratch tlsOwnScratch;
+thread_local GemmScratch* tlsScratch = &tlsOwnScratch;
 
 /// \p bPacked, when non-null, holds all of op(B) packed by packB over the
 /// full N extent (a PackedB). Column blocks start on panel boundaries (nc
@@ -164,16 +165,18 @@ void tiledGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
     if (bPacked != nullptr) {
       bPack = bPacked + (j0 / nrMax) * kDim * nrMax;
     } else {
-      packB(tlsBPack, b, transB, j0, jb, kDim, nrMax);
-      bPack = tlsBPack.data();
+      std::vector<double>& own = tlsScratch->b;
+      packB(own, b, transB, j0, jb, kDim, nrMax);
+      bPack = own.data();
     }
     const std::size_t colPanels = (jb + nrMax - 1) / nrMax;
 
     auto rowPanel = [&](std::size_t p) {
       const std::size_t i0 = p * mrMax;
       const std::size_t mr = std::min(mrMax, m - i0);
-      packA(tlsAPack, a, transA, i0, mr, kDim, mrMax);
-      const double* aPack = tlsAPack.data();
+      std::vector<double>& aBuf = tlsScratch->a;
+      packA(aBuf, a, transA, i0, mr, kDim, mrMax);
+      const double* aPack = aBuf.data();
       for (std::size_t jp = 0; jp < colPanels; ++jp) {
         const std::size_t nr = std::min(nrMax, jb - jp * nrMax);
         kernel.fn(cBase + i0 * ldc + j0 + jp * nrMax, ldc, aPack,
@@ -181,19 +184,11 @@ void tiledGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
       }
     };
 
-    if (workers > 1) {
-      common::ThreadPool::global().parallelFor(0, workers, [&](std::size_t w) {
-        const std::size_t end = rowPanels * (w + 1) / workers;
-        for (std::size_t p = rowPanels * w / workers; p < end; ++p) {
-          rowPanel(p);
-        }
-      });
-    } else {
-      // Direct loop, not parallelFor: the pooled path wraps the body in a
-      // std::function (which may allocate), and the single-thread training
-      // step must stay allocation-free after warm-up.
-      for (std::size_t p = 0; p < rowPanels; ++p) rowPanel(p);
-    }
+    const std::size_t parts = std::max<std::size_t>(workers, 1);
+    common::ThreadPool::global().parallelFor(0, parts, [&](std::size_t w) {
+      const std::size_t end = rowPanels * (w + 1) / parts;
+      for (std::size_t p = rowPanels * w / parts; p < end; ++p) rowPanel(p);
+    });
   }
 }
 
@@ -410,6 +405,13 @@ void gemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
                microKernelForLevel(common::simd::activeKernelLevel()),
                nullptr);
 }
+
+ScopedGemmScratch::ScopedGemmScratch(GemmScratch& scratch)
+    : previous_(tlsScratch) {
+  tlsScratch = &scratch;
+}
+
+ScopedGemmScratch::~ScopedGemmScratch() { tlsScratch = previous_; }
 
 void PackedB::pack(const Matrix& b, bool transB) {
   const GemmLevelInfo info = activeGemmLevelInfo();

@@ -112,6 +112,28 @@ class PackedB {
 void gemm(Matrix& c, const Matrix& a, const PackedB& b, bool transA = false,
           double alpha = 1.0, double beta = 0.0);
 
+/// Packing buffers of tiled products: a row panel of op(A) and a column
+/// block of op(B). Each thread has its own unless a ScopedGemmScratch binds
+/// one. A layer whose products run on whichever pool thread claims them (a
+/// Bi-LSTM direction) binds its own, so they are sized on its first pass
+/// and never grow mid-run on a thread that has not seen the shape.
+struct GemmScratch {
+  std::vector<double> a, b;
+};
+
+/// Binds \p scratch as this thread's packing buffers for the scope. A
+/// pooled product still packs each worker's A panels in its own buffers.
+class ScopedGemmScratch {
+ public:
+  explicit ScopedGemmScratch(GemmScratch& scratch);
+  ~ScopedGemmScratch();
+  ScopedGemmScratch(const ScopedGemmScratch&) = delete;
+  ScopedGemmScratch& operator=(const ScopedGemmScratch&) = delete;
+
+ private:
+  GemmScratch* previous_;
+};
+
 /// The seed-faithful naive kernel behind GemmKernel::kNaive, exposed so
 /// tests can compare the tiled kernel against it regardless of the global
 /// kernel switch.

@@ -39,6 +39,7 @@ const std::vector<Matrix>& Lstm::forward(const std::vector<Matrix>& xs) {
   const std::size_t h = hiddenSize_;
   const std::size_t steps = xs.size();
 
+  const linalg::ScopedGemmScratch scratch(gemmScratch_);
   if (cache_.size() != steps) cache_.resize(steps);
   if (outputs_.size() != steps) outputs_.resize(steps);
 
@@ -102,6 +103,7 @@ std::vector<Matrix>& Lstm::backward(const std::vector<Matrix>& dHs) {
   const std::size_t h = hiddenSize_;
   const std::size_t batch = cache_.front().x.rows();
 
+  const linalg::ScopedGemmScratch scratch(gemmScratch_);
   if (dXs_.size() != steps) dXs_.resize(steps);
   ensureShape(dhNext_, batch, h);  // gradient flowing from step k+1 into h_k
   dhNext_.fill(0.0);
@@ -245,21 +247,17 @@ BiLstm::BiLstm(std::string name, std::size_t inputSize,
 template <typename Body>
 void BiLstm::runDirections(Shape shape, std::optional<Shape>& sizedFor,
                            const Body& body) {
-  auto& pool = common::ThreadPool::global();
-  // Inline on a single-thread pool: parallelFor would wrap the body in a
-  // std::function, and the single-thread training step must stay
-  // allocation-free. Inline also for the first pass at a new shape, so
-  // both directions' workspaces are allocated on this thread: buffers
-  // first allocated on workers land in glibc per-thread arenas and raise
-  // peak RSS.
-  if (pool.size() == 1 || shape != sizedFor) {
+  // Inline for the first pass at a new shape, so both directions'
+  // workspaces are allocated on this thread: buffers first allocated on
+  // workers land in glibc per-thread arenas and raise peak RSS.
+  if (shape != sizedFor) {
     body(0);
     body(1);
     sizedFor = shape;
     return;
   }
   std::exception_ptr failed[2];
-  pool.parallelFor(0, 2, [&](std::size_t d) {
+  common::ThreadPool::global().parallelFor(0, 2, [&](std::size_t d) {
     try {
       body(d);
     } catch (...) {

@@ -74,6 +74,9 @@ class Lstm {
   // transposes for backward's dX / dhNext. Repacked on every pass, since
   // the optimizer changes the weights between passes.
   linalg::PackedB wxPacked_, whPacked_;
+  // Packing buffers for this layer's products, bound by forward/backward:
+  // a Bi-LSTM direction runs on whichever pool thread claims it.
+  linalg::GemmScratch gemmScratch_;
 };
 
 /// Stack of LSTM layers with dropout between layers (not after the last),

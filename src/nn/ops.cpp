@@ -35,12 +35,6 @@ void tanhBackwardInPlace(Matrix& dy, const Matrix& y) {
   }
 }
 
-Matrix tanhBackward(const Matrix& dy, const Matrix& y) {
-  Matrix dx = dy;
-  tanhBackwardInPlace(dx, y);
-  return dx;
-}
-
 void sigmoidInPlace(Matrix& m) {
   for (double& v : m.data()) v = stableSigmoid(v);
 }
@@ -59,12 +53,6 @@ void sigmoidBackwardInPlace(Matrix& dy, const Matrix& y) {
   }
 }
 
-Matrix sigmoidBackward(const Matrix& dy, const Matrix& y) {
-  Matrix dx = dy;
-  sigmoidBackwardInPlace(dx, y);
-  return dx;
-}
-
 void reluInPlace(Matrix& m) {
   for (double& v : m.data()) v = v > 0.0 ? v : 0.0;
 }
@@ -81,12 +69,6 @@ void reluBackwardInPlace(Matrix& dy, const Matrix& y) {
   for (std::size_t i = 0; i < dxd.size(); ++i) {
     if (yd[i] <= 0.0) dxd[i] = 0.0;
   }
-}
-
-Matrix reluBackward(const Matrix& dy, const Matrix& y) {
-  Matrix dx = dy;
-  reluBackwardInPlace(dx, y);
-  return dx;
 }
 
 Matrix softmaxRows(const Matrix& x) {

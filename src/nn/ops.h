@@ -24,33 +24,26 @@ using linalg::hadamardInPlace;
 using linalg::scaleInPlace;
 
 // --- activations -----------------------------------------------------------
-// The copying Forward/Backward pairs below remain the convenience API; the
+// The copying Forward functions below remain the convenience API; the
 // *InPlace variants are the allocation-free hot path and perform the same
-// per-element operation (bit-identical results).
+// per-element operation (bit-identical results). The backward passes take
+// dY and the forward output y and turn dY into dX in place.
 
 void tanhInPlace(Matrix& m);
-/// dy *= (1 - y^2), the in-place form of tanhBackward.
+/// dy *= (1 - y^2).
 void tanhBackwardInPlace(Matrix& dy, const Matrix& y);
 
 void sigmoidInPlace(Matrix& m);
-/// dy *= y * (1 - y), the in-place form of sigmoidBackward.
+/// dy *= y * (1 - y).
 void sigmoidBackwardInPlace(Matrix& dy, const Matrix& y);
 
 void reluInPlace(Matrix& m);
-/// dy[i] = 0 where y[i] <= 0, the in-place form of reluBackward.
+/// dy[i] = 0 where y[i] <= 0.
 void reluBackwardInPlace(Matrix& dy, const Matrix& y);
 
 Matrix tanhForward(const Matrix& x);
-/// dX given dY and the forward output y = tanh(x): dX = dY * (1 - y^2).
-Matrix tanhBackward(const Matrix& dy, const Matrix& y);
-
 Matrix sigmoidForward(const Matrix& x);
-/// dX given dY and y = sigmoid(x): dX = dY * y * (1 - y).
-Matrix sigmoidBackward(const Matrix& dy, const Matrix& y);
-
 Matrix reluForward(const Matrix& x);
-/// dX given dY and y = relu(x): dX = dY * [y > 0].
-Matrix reluBackward(const Matrix& dy, const Matrix& y);
 
 /// Row-wise softmax, guarded against overflow: the row maximum is
 /// subtracted before exponentiation, so logits of any magnitude (+/-1e308

@@ -44,11 +44,6 @@ void fftInPlace(std::vector<Complex>& data);
 /// Bit-identical to fftInPlace over the same values.
 void fftInPlaceSpan(std::span<Complex> data);
 
-/// Number of twiddle tables currently cached process-wide (the LRU keeps
-/// total table bytes within half the RFP_CACHE_MB budget; see
-/// common/cache_budget.h).
-std::size_t twiddleCacheEntries();
-
 /// In-place inverse FFT (normalized by 1/N).
 void ifftInPlace(std::vector<Complex>& data);
 

@@ -30,14 +30,6 @@ bool isLocalMax(const radar::RangeAngleMap& map, std::size_t r,
 
 PeakDetector::PeakDetector(DetectorOptions options) : options_(options) {}
 
-double PeakDetector::noiseFloor(const radar::RangeAngleMap& map) {
-  std::vector<double> cells = map.power;
-  if (cells.empty()) return 0.0;
-  const std::size_t mid = cells.size() / 2;
-  std::nth_element(cells.begin(), cells.begin() + mid, cells.end());
-  return cells[mid];
-}
-
 void PeakDetector::suppressAndConvert(
     const radar::RangeAngleMap& map, const radar::Processor& processor,
     std::vector<std::pair<std::size_t, std::size_t>>& candidates,
@@ -87,7 +79,7 @@ void PeakDetector::detectInto(const radar::RangeAngleMap& map,
                               const radar::Processor& processor,
                               DetectScratch& scratch,
                               std::vector<Detection>& out) const {
-  // Same statistic as noiseFloor(), on the reused median scratch.
+  // Noise floor: the median cell power, on the reused median scratch.
   double floorValue = 0.0;
   const std::size_t total = map.power.size();
   scratch.cells.assign(map.power.begin(), map.power.end());

@@ -70,12 +70,10 @@ class PeakDetector {
 
   const DetectorOptions& options() const { return options_; }
 
-  /// Noise floor estimate: the median cell power of the map.
-  static double noiseFloor(const radar::RangeAngleMap& map);
-
-  /// Local maxima above noiseFloor * thresholdFactor, non-max suppressed,
-  /// strongest-first, at most maxDetections. \p processor supplies the
-  /// radar geometry for world-coordinate conversion.
+  /// Local maxima above the noise floor (the median cell power) *
+  /// thresholdFactor, non-max suppressed, strongest-first, at most
+  /// maxDetections. \p processor supplies the radar geometry for
+  /// world-coordinate conversion.
   std::vector<Detection> detect(const radar::RangeAngleMap& map,
                                 const radar::Processor& processor) const;
 

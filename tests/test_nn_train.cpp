@@ -412,40 +412,46 @@ std::vector<trajectory::Trace> syntheticDataset(std::size_t count,
 }
 
 TEST(TrainHotPath, SteadyStateAdvanceMakesNoHeapAllocations) {
-  // One pool thread: the measured advance must run inline (a pooled task
-  // submission allocates a task node, and that is fine -- the contract is
-  // about the single-thread hot path; parallel dispatch is perf-opt-in).
-  rfp::common::ThreadPool::setGlobalThreads(1);
-  rfp::common::Rng dataRng(42);
-  const auto dataset = syntheticDataset(16, 10, dataRng);
+  // Inline (1 thread) and chunked (4 threads): the pool's fork/join
+  // publishes each job in a preallocated slot, and each LSTM layer packs
+  // its GEMM operands in buffers it owns, so a Bi-LSTM direction claimed
+  // by a thread that never ran it before allocates nothing either. The
+  // counter sees every thread's allocations, workers' included.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    rfp::common::ThreadPool::setGlobalThreads(threads);
+    rfp::common::Rng dataRng(42);
+    const auto dataset = syntheticDataset(16, 10, dataRng);
 
-  rfp::common::Rng rng(7);
-  gan::GanTrainingConfig tc;
-  tc.batchSize = 8;
-  tc.epochs = 1000;
-  gan::TrajectoryGan gan(tinyGeneratorConfig(), tinyDiscriminatorConfig(), tc,
-                         rng);
-  gan::TrainingSession session(gan, dataset, rng);
+    rfp::common::Rng rng(7);
+    gan::GanTrainingConfig tc;
+    tc.batchSize = 8;
+    tc.epochs = 1000;
+    gan::TrajectoryGan gan(tinyGeneratorConfig(), tinyDiscriminatorConfig(),
+                           tc, rng);
+    gan::TrainingSession session(gan, dataset, rng);
 
-  // Warm-up: more than one full epoch, so every workspace buffer in the
-  // generator, discriminator, optimizers, and session has reached its
-  // steady shape.
-  for (int i = 0; i < 8; ++i) session.advance();
+    // Warm-up: more than one full epoch, so every workspace buffer in the
+    // generator, discriminator, optimizers, and session has reached its
+    // steady shape.
+    for (int i = 0; i < 8; ++i) session.advance();
 
-  std::size_t batchAllocs = static_cast<std::size_t>(-1);
-  for (int i = 0; i < 4 && batchAllocs == static_cast<std::size_t>(-1); ++i) {
-    g_allocCount.store(0);
-    g_countAllocs.store(true);
-    const auto ev = session.advance();
-    g_countAllocs.store(false);
-    if (ev.type == gan::TrainingSession::Event::Type::kBatch) {
-      batchAllocs = g_allocCount.load();
+    std::size_t batchAllocs = static_cast<std::size_t>(-1);
+    for (int i = 0; i < 4 && batchAllocs == static_cast<std::size_t>(-1);
+         ++i) {
+      g_allocCount.store(0);
+      g_countAllocs.store(true);
+      const auto ev = session.advance();
+      g_countAllocs.store(false);
+      if (ev.type == gan::TrainingSession::Event::Type::kBatch) {
+        batchAllocs = g_allocCount.load();
+      }
     }
+    ASSERT_NE(batchAllocs, static_cast<std::size_t>(-1));
+    EXPECT_EQ(batchAllocs, 0u)
+        << "a steady-state training step hit the heap " << batchAllocs
+        << " time(s)";
   }
-  ASSERT_NE(batchAllocs, static_cast<std::size_t>(-1));
-  EXPECT_EQ(batchAllocs, 0u)
-      << "a steady-state training step hit the heap " << batchAllocs
-      << " time(s)";
   rfp::common::ThreadPool::setGlobalThreads(0);
 }
 

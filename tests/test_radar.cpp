@@ -203,14 +203,15 @@ TEST(Processor, BackgroundSubtractionRemovesStaticKeepsMoving) {
   const Frame frameB = fe.synthesize(
       std::vector<env::PointScatterer>{still, moving}, 0.05, rng);
 
-  EXPECT_FALSE(proc.processWithBackgroundSubtraction(frameA).has_value());
-  const auto diffMap = proc.processWithBackgroundSubtraction(frameB);
-  ASSERT_TRUE(diffMap.has_value());
+  EXPECT_EQ(proc.backgroundDiff(frameA), nullptr);
+  const Frame* diff = proc.backgroundDiff(frameB);
+  ASSERT_NE(diff, nullptr);
+  const RangeAngleMap diffMap = proc.process(*diff);
 
   // The residual peak must be at the mover, not the (stronger) static one.
-  const auto [ri, ai] = diffMap->argmax();
-  const Vec2 peakWorld = proc.toWorld(diffMap->rangesM[ri],
-                                      diffMap->anglesRad[ai]);
+  const auto [ri, ai] = diffMap.argmax();
+  const Vec2 peakWorld = proc.toWorld(diffMap.rangesM[ri],
+                                      diffMap.anglesRad[ai]);
   EXPECT_LT(distance(peakWorld, moving.position), 0.6);
 }
 

@@ -5,12 +5,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
+
+#include "common/env.h"
 
 namespace rfp::common {
 
@@ -93,14 +94,8 @@ struct ThreadPool::Impl {
 };
 
 std::size_t ThreadPool::resolveThreadCount() {
-  if (const char* env = std::getenv("RFP_THREADS")) {
-    // strtoul accepts a sign and wraps "-1" to ULONG_MAX: reject it.
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1 &&
-        std::strchr(env, '-') == nullptr) {
-      return std::min<std::size_t>(parsed, 256);
-    }
+  if (const auto parsed = parsePositiveEnv(std::getenv("RFP_THREADS"))) {
+    return std::min<std::size_t>(*parsed, 256);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);

@@ -3,8 +3,8 @@
 /// \file thread_pool.h
 /// Shared fork/join pool driving the simulation hot paths (beat-signal
 /// synthesis, range FFT + beamforming, multipath image expansion), the
-/// training step (large GEMMs, the Bi-LSTM's two directions) and the
-/// fleet's per-epoch tasks.
+/// training step (large GEMMs, the Bi-LSTM's two directions, the stacked
+/// LSTM's layer wavefront) and the fleet's per-epoch tasks.
 ///
 /// Determinism contract (DESIGN.md Sec. 8). The pool never owns
 /// randomness and never influences numeric results: callers hand it
@@ -18,6 +18,14 @@
 /// one job slot; the woken workers and the calling thread claim a job's
 /// static chunks from one atomic word, and the chunked path allocates
 /// nothing. A pool of size 1 spawns no threads and runs every loop inline.
+///
+/// Ascending-claim contract (DESIGN.md Sec. 8). Chunks are claimed in
+/// ascending index order, each by one thread that runs it to the end
+/// before claiming another, and every inline fallback runs the indices in
+/// ascending order. So body(i) may block until body(j) for some j < i
+/// has made progress -- the stacked LSTM's layer wavefront does -- and
+/// the loop still completes at any pool size, with a busy slot and when
+/// nested. Waiting on a later index can deadlock and is not allowed.
 
 #include <cstddef>
 #include <memory>
@@ -79,7 +87,9 @@ class ThreadPool {
   /// (deterministically, in index order) when the pool has size 1, the
   /// range is a single index, the caller is itself running a chunk of some
   /// pool's job (nested parallelism degrades to serial instead of
-  /// deadlocking), or another thread's job holds the slot.
+  /// deadlocking), or another thread's job holds the slot. Under the
+  /// ascending-claim contract above, an iteration may wait on an earlier
+  /// one, never on a later one.
   template <typename Body>
   void parallelFor(std::size_t begin, std::size_t end, const Body& body) {
     const ChunkFn chunk = [](const void* ctx, std::size_t lo, std::size_t hi) {
@@ -90,8 +100,8 @@ class ThreadPool {
   }
 
   /// Size a default-constructed pool would use: `RFP_THREADS` when set to
-  /// a positive integer (clamped to 256; negative or unparsable values are
-  /// ignored), else hardware_concurrency, floored at 1.
+  /// a positive integer (clamped to 256; signed, zero or unparsable values
+  /// are ignored, common/env.h), else hardware_concurrency, floored at 1.
   static std::size_t resolveThreadCount();
 
   /// Process-wide pool shared by the simulation hot paths. Created on

@@ -22,12 +22,24 @@ class Dropout {
   /// \p training selects train vs eval behaviour.
   Matrix forward(const Matrix& x, bool training, rfp::common::Rng& rng);
 
-  /// Destination-passing forward: \p dst gets the (masked) activations.
+  /// Destination-passing forward: drawMask(x's shape) then applyInto.
   /// The mask buffer is reshaped in place, so a Dropout reused across
   /// steps of a fixed-shape sequence draws fresh Bernoulli masks (same
   /// element order as forward) without allocating.
   void forwardInto(Matrix& dst, const Matrix& x, bool training,
                    rfp::common::Rng& rng);
+
+  /// The randomness of forwardInto: draws a rows x cols mask from \p rng
+  /// at train time with p > 0, else records eval mode and draws nothing.
+  /// Split from applyInto so a caller can draw every mask of a sequence
+  /// on one thread, in order, and apply them elsewhere.
+  void drawMask(std::size_t rows, std::size_t cols, bool training,
+                rfp::common::Rng& rng);
+
+  /// The draw-free half of forwardInto: \p dst = x .* mask, or a copy of
+  /// \p x at eval / p == 0. Throws std::invalid_argument when \p x does
+  /// not have the drawn mask's shape.
+  void applyInto(Matrix& dst, const Matrix& x) const;
 
   /// Applies the cached mask (train) or passes through (eval).
   Matrix backward(const Matrix& dy) const;

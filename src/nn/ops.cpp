@@ -7,16 +7,6 @@
 
 namespace rfp::nn {
 
-namespace {
-
-/// The numerically stable logistic shared by every sigmoid path.
-inline double stableSigmoid(double v) {
-  return v >= 0.0 ? 1.0 / (1.0 + std::exp(-v))
-                  : std::exp(v) / (1.0 + std::exp(v));
-}
-
-}  // namespace
-
 void tanhInPlace(Matrix& m) {
   for (double& v : m.data()) v = std::tanh(v);
 }

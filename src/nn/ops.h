@@ -5,6 +5,8 @@
 /// Activations come in forward/backward pairs; backward takes the *output*
 /// of the forward pass (cheaper than re-deriving from the input).
 
+#include <cmath>
+
 #include "common/rng.h"
 #include "linalg/gemm.h"
 #include "linalg/matrix.h"
@@ -28,6 +30,14 @@ using linalg::scaleInPlace;
 // *InPlace variants are the allocation-free hot path and perform the same
 // per-element operation (bit-identical results). The backward passes take
 // dY and the forward output y and turn dY into dX in place.
+
+/// The numerically stable logistic shared by every sigmoid path (the
+/// activations below and the LSTM's fused cell).
+inline double stableSigmoid(double v) {
+  if (v >= 0.0) return 1.0 / (1.0 + std::exp(-v));
+  const double e = std::exp(v);  // one call: exp is a pure function
+  return e / (1.0 + e);
+}
 
 void tanhInPlace(Matrix& m);
 /// dy *= (1 - y^2).

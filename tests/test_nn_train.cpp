@@ -412,12 +412,13 @@ std::vector<trajectory::Trace> syntheticDataset(std::size_t count,
 }
 
 TEST(TrainHotPath, SteadyStateAdvanceMakesNoHeapAllocations) {
-  // Inline (1 thread) and chunked (4 threads): the pool's fork/join
-  // publishes each job in a preallocated slot, and each LSTM layer packs
-  // its GEMM operands in buffers it owns, so a Bi-LSTM direction claimed
-  // by a thread that never ran it before allocates nothing either. The
-  // counter sees every thread's allocations, workers' included.
-  for (const std::size_t threads : {1u, 4u}) {
+  // Inline (1 thread) and chunked (2 and 4 threads): the pool's
+  // fork/join publishes each job in a preallocated slot, and each LSTM
+  // layer packs its GEMM operands in buffers it owns, so a Bi-LSTM
+  // direction or a generator wavefront layer claimed by a thread that
+  // never ran it before allocates nothing either. The counter sees every
+  // thread's allocations, workers' included.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
     SCOPED_TRACE(threads);
     rfp::common::ThreadPool::setGlobalThreads(threads);
     rfp::common::Rng dataRng(42);

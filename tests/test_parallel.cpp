@@ -8,8 +8,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/constants.h"
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/vec2.h"
@@ -62,6 +65,79 @@ TEST(ThreadPool, RfpThreadsEnvOverridesAndFallsBackToOne) {
   ::setenv("RFP_THREADS", "-1", 1);
   EXPECT_EQ(ThreadPool::resolveThreadCount(), fallback);
   ::unsetenv("RFP_THREADS");
+}
+
+TEST(EnvParse, RejectsSignsGarbageAndZero) {
+  using common::parsePositiveEnv;
+  EXPECT_EQ(parsePositiveEnv("1").value_or(0), 1u);
+  EXPECT_EQ(parsePositiveEnv("4").value_or(0), 4u);
+  EXPECT_EQ(parsePositiveEnv("007").value_or(0), 7u);
+  EXPECT_EQ(parsePositiveEnv("65536").value_or(0), 65536u);
+  // Past SIZE_MAX saturates, so the caller's clamp applies.
+  EXPECT_EQ(parsePositiveEnv("99999999999999999999999").value_or(0),
+            std::numeric_limits<std::size_t>::max());
+  for (const char* bad : {"", "0", "00", "-1", "-0", "+4", " 4", "4 ", "4x",
+                          "x", "1e3", "0x10", "4.0", "--1"}) {
+    EXPECT_FALSE(parsePositiveEnv(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parsePositiveEnv(nullptr).has_value());
+}
+
+/// Runs an 8-index loop on \p pool in which index i blocks until index
+/// i - 1 has finished, the hand-off of a layer wavefront, and returns
+/// how many indices had finished when each one started.
+std::vector<std::uint32_t> chainedLoop(ThreadPool& pool) {
+  constexpr std::size_t kRange = 8;
+  std::atomic<std::uint32_t> finished{0};
+  std::vector<std::uint32_t> startedAfter(kRange);
+  pool.parallelFor(0, kRange, [&](std::size_t i) {
+    std::uint32_t seen = finished.load();
+    while (seen < i) {
+      finished.wait(seen);
+      seen = finished.load();
+    }
+    startedAfter[i] = seen;
+    finished.store(static_cast<std::uint32_t>(i + 1));
+    finished.notify_all();
+  });
+  return startedAfter;
+}
+
+TEST(ThreadPool, LaterChunkMayWaitOnEarlierChunk) {
+  // The ascending-claim contract (thread_pool.h): chunks are claimed in
+  // index order and every inline fallback runs in index order, so an
+  // index may wait on any earlier one without deadlock.
+  const std::vector<std::uint32_t> inOrder = {0, 1, 2, 3, 4, 5, 6, 7};
+  for (const std::size_t size : {1u, 4u}) {
+    ThreadPool pool(size);
+    EXPECT_EQ(chainedLoop(pool), inOrder) << "size " << size;
+  }
+
+  // Busy slot: another thread's job holds it, so the loop runs inline.
+  ThreadPool pool(4);
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    pool.parallelFor(0, 2, [&](std::size_t i) {
+      if (i != 0) return;
+      holding = true;
+      holding.notify_all();
+      release.wait(false);
+    });
+  });
+  holding.wait(false);
+  EXPECT_EQ(chainedLoop(pool), inOrder) << "busy slot";
+  release = true;
+  release.notify_all();
+  holder.join();
+
+  // Nested: inside a chunk the loop runs inline, on this pool or another.
+  ThreadPool other(4);
+  std::vector<std::vector<std::uint32_t>> nested(4);
+  pool.parallelFor(0, nested.size(), [&](std::size_t c) {
+    nested[c] = chainedLoop(c % 2 == 0 ? pool : other);
+  });
+  for (const auto& run : nested) EXPECT_EQ(run, inOrder) << "nested";
 }
 
 TEST(ThreadPool, ParallelForPropagatesWorkerExceptions) {
@@ -310,7 +386,14 @@ TEST(Caches, TwiddleTablesAreSharedPerSizeAndDistinctAcrossSizes) {
 }
 
 TEST(Caches, SteeringCacheKeysOnProcessorGeometry) {
-  const radar::RadarConfig cfg = parallelTestConfig();
+  // The steering cache is process-wide, so a repeated run
+  // (--gtest_repeat) would find an earlier pass's geometries cached.
+  // Each pass moves the array spacing up one ulp: that keys entries no
+  // earlier pass made and moves no beam measurably.
+  static double spacingWavelengths = parallelTestConfig().spacingWavelengths;
+  radar::RadarConfig cfg = parallelTestConfig();
+  cfg.spacingWavelengths = spacingWavelengths;
+  spacingWavelengths = std::nextafter(spacingWavelengths, 1.0);
   radar::ProcessorOptions narrow;
   narrow.numAngleBins = 61;
   const radar::Processor procA(cfg, narrow);

@@ -73,10 +73,11 @@ const Matrix& Discriminator::forward(const std::vector<Matrix>& xs,
   return logits_;
 }
 
-const std::vector<Matrix>& Discriminator::backward(const Matrix& dLogits) {
+const std::vector<Matrix>& Discriminator::backward(const Matrix& dLogits,
+                                                   bool weightGradients) {
   const std::size_t batch = cachedBatch_;
 
-  fcOut_.backwardInto(dDropped_, dLogits);
+  fcOut_.backwardInto(dDropped_, dLogits, weightGradients);
   poolDropout_.backwardInPlace(dDropped_);  // dDropped_ is now dPooled
 
   const double invT = 1.0 / static_cast<double>(config_.traceLength);
@@ -84,7 +85,7 @@ const std::vector<Matrix>& Discriminator::backward(const Matrix& dLogits) {
   if (dHs_.size() != config_.traceLength) dHs_.resize(config_.traceLength);
   for (Matrix& dh : dHs_) dh = dDropped_;
 
-  const std::vector<Matrix>& dFeats = bilstm_.backward(dHs_);
+  const std::vector<Matrix>& dFeats = bilstm_.backward(dHs_, weightGradients);
 
   linalg::ensureShape(dTallFeat_, config_.traceLength * batch,
                       config_.featureSize);
@@ -96,7 +97,7 @@ const std::vector<Matrix>& Discriminator::backward(const Matrix& dLogits) {
     }
   }
   nn::reluBackwardInPlace(dTallFeat_, cachedTallFeat_);
-  fcIn_.backwardInto(dTallIn_, dTallFeat_);
+  fcIn_.backwardInto(dTallIn_, dTallFeat_, weightGradients);
 
   // Split the tall input gradient back into per-timestep point gradients
   // and the label-embedding gradient (summed over timesteps).
@@ -109,12 +110,13 @@ const std::vector<Matrix>& Discriminator::backward(const Matrix& dLogits) {
     for (std::size_t b = 0; b < batch; ++b) {
       dx(b, 0) = dTallIn_(t * batch + b, 0);
       dx(b, 1) = dTallIn_(t * batch + b, 1);
+      if (!weightGradients) continue;
       for (std::size_t c = 0; c < config_.labelEmbeddingDim; ++c) {
         dEmb_(b, c) += dTallIn_(t * batch + b, 2 + c);
       }
     }
   }
-  labelEmbedding_.backward(dEmb_);
+  if (weightGradients) labelEmbedding_.backward(dEmb_);
   return dXs_;
 }
 

@@ -45,8 +45,12 @@ class Discriminator {
 
   /// Backward from dLogits; returns the gradient w.r.t. each input step
   /// (needed to train the generator through the discriminator). References
-  /// the reused workspace, valid until the next backward().
-  const std::vector<nn::Matrix>& backward(const nn::Matrix& dLogits);
+  /// the reused workspace, valid until the next backward(). Accumulates
+  /// D's parameter gradients unless \p weightGradients is false: the
+  /// generator's step only needs the input gradients, and skips the
+  /// weight products of every layer.
+  const std::vector<nn::Matrix>& backward(const nn::Matrix& dLogits,
+                                          bool weightGradients = true);
 
   /// Convenience: sigmoid realness scores for whole traces (eval mode).
   std::vector<double> scoreTraces(const std::vector<trajectory::Trace>& traces,

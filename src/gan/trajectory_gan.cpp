@@ -144,7 +144,10 @@ GanBatchStats TrajectoryGan::trainBatch(
   const Matrix& fakeLogitsG =
       discriminator_.forward(fakeXs2, fakeLabels_, /*training=*/true, rng);
   const double genLoss = nn::bceWithLogitsInto(dGenLogits_, fakeLogitsG, ones_);
-  const std::vector<Matrix>& dFake = discriminator_.backward(dGenLogits_);
+  // D's parameter gradients are zero here and zeroed again after this
+  // step unread, so its backward only propagates to the generator.
+  const std::vector<Matrix>& dFake =
+      discriminator_.backward(dGenLogits_, /*weightGradients=*/false);
   generator_.backward(dFake);
 
   bool applyG = true;
@@ -158,7 +161,6 @@ GanBatchStats TrajectoryGan::trainBatch(
     stats.generatorStepSkipped = true;
     nn::zeroGradients(gParams_);
   }
-  nn::zeroGradients(dParams_);  // D grads from G's pass
 
   stats.discriminatorLoss = realLoss + fakeLoss;
   stats.generatorLoss = genLoss;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/cpuid.h"
@@ -134,23 +135,27 @@ void packB(std::vector<double>& bp, const Matrix& b, bool transB,
 thread_local GemmScratch tlsOwnScratch;
 thread_local GemmScratch* tlsScratch = &tlsOwnScratch;
 
-/// \p bPacked, when non-null, holds all of op(B) packed by packB over the
-/// full N extent (a PackedB). Column blocks start on panel boundaries (nc
-/// is a multiple of nrMax), so block j0's panels are that buffer's panels
-/// from j0 / nrMax on -- the same bytes packB would write for the block.
-void tiledGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
-               bool transB, double alpha, const MicroKernelEntry& kernel,
-               std::size_t workers, const double* bPacked) {
-  const std::size_t m = c.rows();
+/// Rows \p rows of C += alpha * op(A) * op(B) in packed micro-tiles, the
+/// range's row panels split into \p workers contiguous shares. Panels
+/// start at rows.begin, so they need not align to mr: packA reads op(A)
+/// from any row. \p bPacked, when non-null, holds all of op(B) packed by
+/// packB over the full N extent (a PackedB). Column blocks start on panel
+/// boundaries (nc is a multiple of nrMax), so block j0's panels are that
+/// buffer's panels from j0 / nrMax on -- the same bytes packB would write
+/// for the block.
+void tiledGemm(Matrix& c, RowRange rows, const Matrix& a, const Matrix& b,
+               bool transA, bool transB, double alpha,
+               const MicroKernelEntry& kernel, std::size_t workers,
+               const double* bPacked) {
   const std::size_t n = c.cols();
   const std::size_t kDim = transA ? a.rows() : a.cols();
-  if (m == 0 || n == 0) return;
+  if (rows.size() == 0 || n == 0) return;
 
   const std::size_t mrMax = kernel.info.mr;
   const std::size_t nrMax = kernel.info.nr;
   const std::size_t ldc = n;
   double* cBase = c.data().data();
-  const std::size_t rowPanels = (m + mrMax - 1) / mrMax;
+  const std::size_t rowPanels = (rows.size() + mrMax - 1) / mrMax;
   const std::size_t nc = resolveNc(nrMax);
 
   for (std::size_t j0 = 0; j0 < n; j0 += nc) {
@@ -166,8 +171,8 @@ void tiledGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
     const std::size_t colPanels = (jb + nrMax - 1) / nrMax;
 
     auto rowPanel = [&](std::size_t p) {
-      const std::size_t i0 = p * mrMax;
-      const std::size_t mr = std::min(mrMax, m - i0);
+      const std::size_t i0 = rows.begin + p * mrMax;
+      const std::size_t mr = std::min(mrMax, rows.end - i0);
       std::vector<double>& aBuf = tlsScratch->a;
       packA(aBuf, a, transA, i0, mr, kDim, mrMax);
       const double* aPack = aBuf.data();
@@ -193,9 +198,8 @@ void tiledGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
 /// in the FMA regime -- against op()-indexed operands, so the bits match
 /// tiledGemm while skipping the packing round-trip (and its thread-local
 /// buffer traffic), which dominates below one tile of work.
-void directGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
-                bool transB, double alpha, bool fmaChain) {
-  const std::size_t m = c.rows();
+void directGemm(Matrix& c, RowRange rows, const Matrix& a, const Matrix& b,
+                bool transA, bool transB, double alpha, bool fmaChain) {
   const std::size_t n = c.cols();
   const std::size_t kDim = transA ? a.rows() : a.cols();
   const double* ad = a.data().data();
@@ -203,7 +207,7 @@ void directGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
   const std::size_t lda = a.cols();
   const std::size_t ldb = b.cols();
   double* cd = c.data().data();
-  for (std::size_t i = 0; i < m; ++i) {
+  for (std::size_t i = rows.begin; i < rows.end; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       double acc = 0.0;
       if (fmaChain) {
@@ -229,15 +233,14 @@ void directGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
 /// cut produce identical bits.
 constexpr std::size_t kDirectGemmFlops = 512;
 
-/// Shared argument validation + beta pre-pass. Applying beta in one pass
-/// over C before the product keeps the per-element combine identical
-/// between the tiled and naive kernels: C = (beta-scaled C) + alpha * sum.
-void prepareC(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
-              bool transB, double beta) {
-  const std::size_t m = transA ? a.cols() : a.rows();
+/// Validates the operands of C = op(A) * op(B) and returns the product's
+/// shape (m, n).
+std::pair<std::size_t, std::size_t> productShape(const Matrix& c,
+                                                 const Matrix& a,
+                                                 const Matrix& b, bool transA,
+                                                 bool transB) {
   const std::size_t kA = transA ? a.rows() : a.cols();
   const std::size_t kB = transB ? b.cols() : b.rows();
-  const std::size_t n = transB ? b.rows() : b.cols();
   if (kA != kB) {
     throw std::invalid_argument("gemm: inner dimension mismatch");
   }
@@ -246,16 +249,72 @@ void prepareC(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
        c.data().data() == b.data().data())) {
     throw std::invalid_argument("gemm: C must not alias A or B");
   }
+  return {transA ? a.cols() : a.rows(), transB ? b.rows() : b.cols()};
+}
+
+/// The beta pre-pass over rows \p rows of C. Applying beta in one pass
+/// before the product keeps the per-element combine identical between the
+/// tiled and naive kernels: C = (beta-scaled C) + alpha * sum.
+void applyBeta(Matrix& c, RowRange rows, double beta) {
+  double* first = c.data().data() + rows.begin * c.cols();
+  double* last = c.data().data() + rows.end * c.cols();
+  if (beta == 0.0) {
+    std::fill(first, last, 0.0);
+  } else if (beta != 1.0) {
+    for (double* v = first; v != last; ++v) *v *= beta;
+  }
+}
+
+/// The full form's validation + beta pre-pass: C is reshaped (zero-filled)
+/// when beta == 0 and its shape differs from the product's.
+void prepareC(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
+              bool transB, double beta) {
+  const auto [m, n] = productShape(c, a, b, transA, transB);
   if (c.rows() != m || c.cols() != n) {
     if (beta != 0.0) {
       throw std::invalid_argument(
           "gemm: C shape mismatch with nonzero beta");
     }
     ensureShape(c, m, n);  // resize zero-fills
-  } else if (beta == 0.0) {
-    c.fill(0.0);
-  } else if (beta != 1.0) {
-    for (double& v : c.data()) v *= beta;
+    return;
+  }
+  applyBeta(c, {0, m}, beta);
+}
+
+/// The row-range form's validation + beta pre-pass over its rows only.
+void prepareRows(Matrix& c, RowRange rows, const Matrix& a, const Matrix& b,
+                 bool transA, bool transB, double beta) {
+  const auto [m, n] = productShape(c, a, b, transA, transB);
+  if (c.rows() != m || c.cols() != n) {
+    throw std::invalid_argument(
+        "gemm: a row range needs C in the product's shape");
+  }
+  if (rows.begin > rows.end || rows.end > m) {
+    throw std::invalid_argument("gemm: row range outside C");
+  }
+  applyBeta(c, rows, beta);
+}
+
+/// The naive kernel on rows \p rows of C, after the beta pre-pass: the
+/// seed's i-k-j loop with its data-dependent `aik == 0.0` skip, summing
+/// each row of the product in a temporary before the one per-element add.
+void referenceRows(Matrix& c, RowRange rows, const Matrix& a, const Matrix& b,
+                   bool transA, bool transB, double alpha) {
+  const std::size_t n = c.cols();
+  const std::size_t kDim = transA ? a.rows() : a.cols();
+  std::vector<double> product(n);
+  for (std::size_t i = rows.begin; i < rows.end; ++i) {
+    std::fill(product.begin(), product.end(), 0.0);
+    for (std::size_t k = 0; k < kDim; ++k) {
+      const double aik = transA ? a(k, i) : a(i, k);
+      if (aik == 0.0) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        product[j] += aik * (transB ? b(j, k) : b(k, j));
+      }
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      c(i, j) += alpha == 1.0 ? product[j] : alpha * product[j];
+    }
   }
 }
 
@@ -366,36 +425,42 @@ GemmPath gemmPath(std::size_t m, std::size_t n, std::size_t k,
 
 namespace {
 
-/// The tiled kernel family's product, after the naive-kernel dispatch:
-/// direct loop, inline or pooled packed micro-tiles (gemmPath), with op(B)
-/// taken from \p bPacked when non-null.
-void tiledProduct(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
-                  bool transB, double alpha, double beta,
+/// The tiled kernel family's product on rows \p rows of C, after the
+/// beta pre-pass: direct loop, inline or pooled packed micro-tiles
+/// (gemmPath on the range's row count), with op(B) taken from \p bPacked
+/// when non-null.
+void tiledProduct(Matrix& c, RowRange rows, const Matrix& a, const Matrix& b,
+                  bool transA, bool transB, double alpha,
                   const MicroKernelEntry& kernel, const double* bPacked) {
-  prepareC(c, a, b, transA, transB, beta);
-  const std::size_t m = c.rows();
   const std::size_t n = c.cols();
   const std::size_t kDim = transA ? a.rows() : a.cols();
-  if (m * n * kDim <= kDirectGemmFlops) {
-    directGemm(c, a, b, transA, transB, alpha,
+  if (rows.size() * n * kDim <= kDirectGemmFlops) {
+    directGemm(c, rows, a, b, transA, transB, alpha,
                kernel.info.level != KernelLevel::kSse2);
     return;
   }
   const std::size_t workers =
-      pooledWorkers(m, n, kDim, common::ThreadPool::global().size(),
+      pooledWorkers(rows.size(), n, kDim, common::ThreadPool::global().size(),
                     kernel.info.mr);
-  tiledGemm(c, a, b, transA, transB, alpha, kernel, workers, bPacked);
+  tiledGemm(c, rows, a, b, transA, transB, alpha, kernel, workers, bPacked);
 }
 
 }  // namespace
 
 void gemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
           bool transB, double alpha, double beta) {
+  prepareC(c, a, b, transA, transB, beta);
+  gemm(c, RowRange{0, c.rows()}, a, b, transA, transB, alpha, 1.0);
+}
+
+void gemm(Matrix& c, RowRange rows, const Matrix& a, const Matrix& b,
+          bool transA, bool transB, double alpha, double beta) {
+  prepareRows(c, rows, a, b, transA, transB, beta);
   if (gemmKernel() == GemmKernel::kNaive) {
-    referenceGemm(c, a, b, transA, transB, alpha, beta);
+    referenceRows(c, rows, a, b, transA, transB, alpha);
     return;
   }
-  tiledProduct(c, a, b, transA, transB, alpha, beta,
+  tiledProduct(c, rows, a, b, transA, transB, alpha,
                microKernelForLevel(common::simd::activeKernelLevel()),
                nullptr);
 }
@@ -419,50 +484,39 @@ void PackedB::pack(const Matrix& b, bool transB) {
   level_ = info.level;
 }
 
-void gemm(Matrix& c, const Matrix& a, const PackedB& b, bool transA,
-          double alpha, double beta) {
-  if (b.source_ == nullptr) {
+const Matrix& PackedB::checkedSource() const {
+  if (source_ == nullptr) {
     throw std::invalid_argument("gemm: PackedB used before pack()");
   }
-  const Matrix& src = *b.source_;
-  if (src.rows() != b.rows_ || src.cols() != b.cols_) {
+  if (source_->rows() != rows_ || source_->cols() != cols_) {
     throw std::logic_error("gemm: PackedB source reshaped since pack()");
   }
+  return *source_;
+}
+
+void gemm(Matrix& c, const Matrix& a, const PackedB& b, bool transA,
+          double alpha, double beta) {
+  prepareC(c, a, b.checkedSource(), transA, b.transB_, beta);
+  gemm(c, RowRange{0, c.rows()}, a, b, transA, alpha, 1.0);
+}
+
+void gemm(Matrix& c, RowRange rows, const Matrix& a, const PackedB& b,
+          bool transA, double alpha, double beta) {
+  const Matrix& src = b.checkedSource();
   const KernelLevel level = common::simd::activeKernelLevel();
   if (gemmKernel() == GemmKernel::kNaive || level != b.level_) {
-    gemm(c, a, src, transA, b.transB_, alpha, beta);
+    gemm(c, rows, a, src, transA, b.transB_, alpha, beta);
     return;
   }
-  tiledProduct(c, a, src, transA, b.transB_, alpha, beta,
+  prepareRows(c, rows, a, src, transA, b.transB_, beta);
+  tiledProduct(c, rows, a, src, transA, b.transB_, alpha,
                microKernelForLevel(level), b.panels_.data());
 }
 
 void referenceGemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA,
                    bool transB, double alpha, double beta) {
   prepareC(c, a, b, transA, transB, beta);
-  // Seed-faithful path: materialized transposes and the i-k-j loop with
-  // the data-dependent zero skip, exactly as Matrix::operator* shipped.
-  const Matrix aOp = transA ? a.transposed() : a;
-  const Matrix bOp = transB ? b.transposed() : b;
-  Matrix product(aOp.rows(), bOp.cols());
-  for (std::size_t i = 0; i < aOp.rows(); ++i) {
-    for (std::size_t k = 0; k < aOp.cols(); ++k) {
-      const double aik = aOp(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < bOp.cols(); ++j) {
-        product(i, j) += aik * bOp(k, j);
-      }
-    }
-  }
-  if (alpha == 1.0) {
-    for (std::size_t i = 0; i < c.data().size(); ++i) {
-      c.data()[i] += product.data()[i];
-    }
-  } else {
-    for (std::size_t i = 0; i < c.data().size(); ++i) {
-      c.data()[i] += alpha * product.data()[i];
-    }
-  }
+  referenceRows(c, {0, c.rows()}, a, b, transA, transB, alpha);
 }
 
 void referenceGemmForLevel(common::simd::KernelLevel level, Matrix& c,

@@ -62,6 +62,19 @@ GemmKernel gemmKernel();
 void gemm(Matrix& c, const Matrix& a, const Matrix& b, bool transA = false,
           bool transB = false, double alpha = 1.0, double beta = 0.0);
 
+/// Rows \p rows of C = beta * C + alpha * op(A) * op(B), computed from the
+/// same rows of op(A); C's other rows are neither read nor written, so
+/// disjoint ranges of one product may run on different threads. Each
+/// element keeps its full-K, k-ascending chain, so every row is
+/// bit-identical to that row of the full product. C must already have
+/// the product's shape, even at beta == 0 (throws std::invalid_argument,
+/// as it does for a range past C's rows and for the full form's errors).
+/// A range too small to split runs inline; a large one is pooled by the
+/// full form's rule (gemmPath) applied to its row count.
+void gemm(Matrix& c, RowRange rows, const Matrix& a, const Matrix& b,
+          bool transA = false, bool transB = false, double alpha = 1.0,
+          double beta = 0.0);
+
 /// Where gemm() runs a product with the tiled kernel. Every path produces
 /// the same bits; the choice is performance only.
 enum class GemmPath {
@@ -95,6 +108,12 @@ class PackedB {
  private:
   friend void gemm(Matrix& c, const Matrix& a, const PackedB& b, bool transA,
                    double alpha, double beta);
+  friend void gemm(Matrix& c, RowRange rows, const Matrix& a, const PackedB& b,
+                   bool transA, double alpha, double beta);
+
+  /// The source matrix; throws std::invalid_argument before the first
+  /// pack() and std::logic_error once the source was reshaped.
+  const Matrix& checkedSource() const;
 
   const Matrix* source_ = nullptr;
   std::size_t rows_ = 0;  ///< source shape at pack() time
@@ -111,6 +130,11 @@ class PackedB {
 /// std::invalid_argument before the first pack().
 void gemm(Matrix& c, const Matrix& a, const PackedB& b, bool transA = false,
           double alpha = 1.0, double beta = 0.0);
+
+/// The row-range form of gemm() with op(B) pre-packed: rows \p rows of C
+/// only, under the row-range form's rules.
+void gemm(Matrix& c, RowRange rows, const Matrix& a, const PackedB& b,
+          bool transA = false, double alpha = 1.0, double beta = 0.0);
 
 /// Packing buffers of tiled products: a row panel of op(A) and a column
 /// block of op(B). Each thread has its own unless a ScopedGemmScratch binds

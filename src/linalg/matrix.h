@@ -169,4 +169,12 @@ class Matrix {
 
 Matrix operator*(double s, const Matrix& m);
 
+/// Rows [begin, end) of a matrix: a row block of a batch, which the
+/// recurrent layers run as independent lanes (nn::Lstm).
+struct RowRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t size() const { return end - begin; }
+};
+
 }  // namespace rfp::linalg

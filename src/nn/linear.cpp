@@ -39,17 +39,20 @@ Matrix Linear::backward(const Matrix& dy) {
   return dx;
 }
 
-void Linear::backwardInto(Matrix& dx, const Matrix& dy) {
+void Linear::backwardInto(Matrix& dx, const Matrix& dy,
+                          bool weightGradients) {
   if (cachedInput_.empty()) {
     throw std::logic_error("Linear::backward before forward");
   }
-  // dW += X^T dY via transpose flag (no materialized transpose); beta = 1
-  // accumulates the fully-summed product in a single per-element add,
-  // matching the historical `grad += X.transposed() * dY` bit-for-bit.
-  gemm(weight_.grad, cachedInput_, dy, /*transA=*/true, /*transB=*/false,
-       1.0, 1.0);
-  colSumsInto(colSumsBuf_, dy);
-  bias_.grad += colSumsBuf_;
+  if (weightGradients) {
+    // dW += X^T dY via transpose flag (no materialized transpose); beta = 1
+    // accumulates the fully-summed product in a single per-element add,
+    // matching the historical `grad += X.transposed() * dY` bit-for-bit.
+    gemm(weight_.grad, cachedInput_, dy, /*transA=*/true, /*transB=*/false,
+         1.0, 1.0);
+    colSumsInto(colSumsBuf_, dy);
+    bias_.grad += colSumsBuf_;
+  }
   gemm(dx, dy, weight_.value, /*transA=*/false, /*transB=*/true);
 }
 

@@ -38,8 +38,9 @@ class Linear {
   Matrix backward(const Matrix& dy);
 
   /// Destination-passing backward: dX into \p dx (reshaped); accumulates
-  /// dW and db without temporaries. \p dx must not alias \p dy.
-  void backwardInto(Matrix& dx, const Matrix& dy);
+  /// dW and db without temporaries unless \p weightGradients is false.
+  /// \p dx must not alias \p dy.
+  void backwardInto(Matrix& dx, const Matrix& dy, bool weightGradients = true);
 
   ParameterList parameters();
 

@@ -1,4 +1,6 @@
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -199,6 +201,44 @@ TEST(TrajectoryGan, ShortTrainingRunsAndReportsStats) {
     for (const auto& p : t.points) c += p;
     EXPECT_NEAR(c.norm(), 0.0, 1e-9);
   }
+}
+
+TEST(TrajectoryGan, GeneratorStepLeavesDiscriminatorGradientsZero) {
+  rfp::common::Rng rng(17);
+  trajectory::HumanWalkModel model;
+  auto dataset = model.dataset(32, rng);
+  for (auto& t : dataset) t.points = trajectory::resample(t.points, 11);
+
+  GanTrainingConfig tc;
+  tc.batchSize = 8;
+  TrajectoryGan gan(tinyG(), tinyD(), tc, rng);
+  TrainingSession session(gan, dataset, rng);
+  // The generator hook runs after the G step's backward through D, which
+  // only propagates: D's parameter gradients stay as the D step left them.
+  std::size_t generatorSteps = 0;
+  std::size_t dirtyParameters = 0;
+  double generatorGradSum = 0.0;
+  session.setGradientHook([&](const char* network,
+                              const nn::ParameterList& params) {
+    if (std::string(network) != "generator") return true;
+    ++generatorSteps;
+    for (const nn::Parameter* p : gan.discriminator().parameters()) {
+      for (double g : p->grad.data()) {
+        if (g != 0.0) {
+          ++dirtyParameters;
+          break;
+        }
+      }
+    }
+    for (const nn::Parameter* p : params) {
+      for (double g : p->grad.data()) generatorGradSum += std::abs(g);
+    }
+    return true;
+  });
+  for (int i = 0; i < 3; ++i) session.advance();
+  EXPECT_EQ(generatorSteps, 3u);
+  EXPECT_EQ(dirtyParameters, 0u);
+  EXPECT_GT(generatorGradSum, 0.0);
 }
 
 TEST(TrajectoryGan, SaveLoadRoundTrip) {

@@ -238,6 +238,87 @@ TEST(Gemm, BitIdenticalAcrossThreadCounts) {
   common::ThreadPool::setGlobalThreads(0);
 }
 
+TEST(Gemm, RowRangeMatchesFullProductAtEveryLevel) {
+  struct Case {
+    std::size_t m, k, n;
+    RowRange rows;
+  };
+  // Every range starts and ends off the micro-tile's mr (4 or 8). The
+  // first is pooled at 4 threads; 6x5x3's range takes the direct path.
+  const Case cases[] = {{192, 288, 240, {5, 187}},
+                        {33, 17, 29, {3, 30}},
+                        {33, 17, 29, {7, 8}},
+                        {32, 64, 256, {13, 19}},
+                        {6, 5, 3, {1, 4}}};
+  ASSERT_EQ(gemmPath(182, 240, 288, 4), GemmPath::kPooled);
+  const auto prevLevel = common::simd::activeKernelLevel();
+  std::uint64_t seed = 301;
+  for (const auto level : common::simd::availableKernelLevels()) {
+    common::simd::setActiveKernelLevel(level);
+    for (std::size_t threads : {1ul, 4ul}) {
+      common::ThreadPool::setGlobalThreads(threads);
+      for (const Case& s : cases) {
+        for (int transA = 0; transA < 2; ++transA) {
+          Matrix a(transA ? s.k : s.m, transA ? s.m : s.k);
+          Matrix b(s.k, s.n);
+          Matrix cInit(s.m, s.n);
+          lcgFill(a, seed++);
+          lcgFill(b, seed++);
+          lcgFill(cInit, seed++);
+          PackedB packed;
+          packed.pack(b);
+          for (double beta : {0.0, 1.0}) {
+            Matrix full = cInit;
+            gemm(full, a, b, transA != 0, false, 1.0, beta);
+            // The full product's rows inside the range, C's outside it.
+            Matrix expected = cInit;
+            for (std::size_t r = s.rows.begin; r < s.rows.end; ++r) {
+              for (std::size_t c = 0; c < s.n; ++c) expected(r, c) = full(r, c);
+            }
+            Matrix part = cInit;
+            gemm(part, s.rows, a, b, transA != 0, false, 1.0, beta);
+            Matrix partPacked = cInit;
+            gemm(partPacked, s.rows, a, packed, transA != 0, 1.0, beta);
+            ASSERT_TRUE(bitIdentical(part, expected))
+                << "level=" << common::simd::kernelLevelName(level)
+                << " threads=" << threads << " m=" << s.m << " rows=["
+                << s.rows.begin << ", " << s.rows.end << ") tA=" << transA
+                << " beta=" << beta;
+            ASSERT_TRUE(bitIdentical(partPacked, expected))
+                << "packed, level=" << common::simd::kernelLevelName(level)
+                << " threads=" << threads << " m=" << s.m << " tA=" << transA
+                << " beta=" << beta;
+          }
+        }
+      }
+    }
+  }
+  common::simd::setActiveKernelLevel(prevLevel);
+  common::ThreadPool::setGlobalThreads(0);
+
+  // The naive kernel runs the seed loop on the range's rows alone.
+  Matrix a(9, 7);
+  Matrix b(7, 5);
+  lcgFill(a, 401);
+  lcgFill(b, 402);
+  setGemmKernel(GemmKernel::kNaive);
+  Matrix full;
+  gemm(full, a, b);
+  Matrix part(9, 5);
+  gemm(part, RowRange{2, 7}, a, b);
+  setGemmKernel(GemmKernel::kTiled);
+  for (std::size_t r = 0; r < 9; ++r) {
+    for (std::size_t c = 0; c < 5; ++c) {
+      const double want = r >= 2 && r < 7 ? full(r, c) : 0.0;
+      EXPECT_EQ(std::memcmp(&part(r, c), &want, sizeof want), 0) << r;
+    }
+  }
+  // C must already have the product's shape, and hold the range.
+  Matrix wrong(8, 5);
+  EXPECT_THROW(gemm(wrong, RowRange{0, 2}, a, b), std::invalid_argument);
+  EXPECT_THROW(gemm(part, RowRange{4, 10}, a, b), std::invalid_argument);
+}
+
 TEST(Gemm, KernelSwitchRoundTrips) {
   ASSERT_EQ(gemmKernel(), GemmKernel::kTiled);
   // Naive gemm is always the seed scalar loop, so the tiled-vs-naive

@@ -56,10 +56,27 @@ TEST(Lstm, RejectsBadInputs) {
   EXPECT_THROW(lstm.forward({}), std::invalid_argument);
   EXPECT_THROW(lstm.forward({Matrix(2, 5)}), std::invalid_argument);
   EXPECT_THROW(Lstm("z", 0, 4, rng), std::invalid_argument);
-  // The per-step API rejects a step past the begun sequence or pass.
+  // The per-step API rejects a step past the begun sequence or pass, and
+  // rows past the batch.
   lstm.forwardBegin(2, 1);
-  EXPECT_THROW(lstm.forwardStep(2, Matrix(1, 3)), std::out_of_range);
-  EXPECT_THROW(lstm.backwardStep(0, Matrix(1, 4)), std::out_of_range);
+  EXPECT_THROW(lstm.forwardStep(2, Matrix(1, 3), {0, 1}), std::out_of_range);
+  EXPECT_THROW(lstm.backwardStep(0, Matrix(1, 4), {0, 1}), std::out_of_range);
+  EXPECT_THROW(lstm.forwardStep(0, Matrix(1, 3), {0, 2}), std::out_of_range);
+}
+
+TEST(Lstm, SecondBackwardWithoutForwardThrows) {
+  rfp::common::Rng rng(36);
+  Lstm lstm("l", 3, 4, rng);
+  rfp::common::Rng dataRng(37);
+  const auto xs = randomSequence(4, 2, 3, dataRng);
+  const auto dHs = randomSequence(4, 2, 4, dataRng);
+  lstm.forward(xs);
+  const auto dXs = lstm.backward(dHs);
+  // Backward wrote its gate gradients over the forward cache.
+  EXPECT_THROW(lstm.backward(dHs), std::logic_error);
+  // A new forward makes the pass whole again.
+  lstm.forward(xs);
+  EXPECT_TRUE(lstm.backward(dHs)[0].approxEquals(dXs[0], 0.0));
 }
 
 TEST(Lstm, GradientCheckAllParameters) {
@@ -363,17 +380,19 @@ struct StackPass {
 };
 
 /// A fresh 3-layer training-mode StackedLstm's outputs, input gradients,
-/// parameter gradients and post-forward RNG state from its second pass on
-/// a pool of \p threads: the first pass at a shape runs the layers one
-/// after the other, later ones as a wavefront. On a 2-thread pool one
-/// chunk holds two layers.
-StackPass stackPass(std::size_t threads) {
+/// parameter gradients and post-forward RNG state from its second pass at
+/// \p batch rows on a pool of \p threads: the first pass at a shape runs
+/// the layers one after the other, later ones as a wavefront of
+/// (layer, row block) lanes, threads / 2 blocks capped by the batch. On a
+/// 2-thread pool one chunk holds two lanes; on 8 threads 17 rows make 4
+/// blocks of 4 or 5 rows.
+StackPass stackPass(std::size_t threads, std::size_t batch) {
   rfp::common::ThreadPool::setGlobalThreads(threads);
   rfp::common::Rng rng(27);
   StackedLstm stack("s", 6, 16, 3, 0.5, rng);
   rfp::common::Rng dataRng(28);
-  const auto xs = randomSequence(9, 8, 6, dataRng);
-  const auto dHs = randomSequence(9, 8, 16, dataRng);
+  const auto xs = randomSequence(9, batch, 6, dataRng);
+  const auto dHs = randomSequence(9, batch, 16, dataRng);
   StackPass out;
   rfp::common::Rng dropRng(29);
   for (int pass = 0; pass < 2; ++pass) {
@@ -393,16 +412,22 @@ TEST(StackedLstm, BitIdenticalAcrossThreadCounts) {
   // wavefront-vs-serial one.
   rfp::common::Rng probeRng(30);
   const Lstm probe("p", 16, 16, probeRng);
-  ASSERT_FALSE(probe.stepProductsPooled(8, 4));
+  ASSERT_FALSE(probe.stepProductsPooled(17, 8));
 
-  const StackPass serial = stackPass(1);
-  ASSERT_EQ(serial.grads.size(), 9u);
-  for (std::size_t threads : {2ul, 4ul}) {
-    const StackPass pooled = stackPass(threads);
-    EXPECT_TRUE(bitIdentical(serial.outs, pooled.outs)) << threads;
-    EXPECT_TRUE(bitIdentical(serial.dXs, pooled.dXs)) << threads;
-    EXPECT_TRUE(bitIdentical(serial.grads, pooled.grads)) << threads;
-    EXPECT_EQ(serial.nextDraw, pooled.nextDraw) << threads;
+  for (std::size_t batch : {1ul, 3ul, 8ul, 17ul}) {
+    const StackPass serial = stackPass(1, batch);
+    ASSERT_EQ(serial.grads.size(), 9u);
+    for (std::size_t threads : {2ul, 4ul, 8ul}) {
+      const StackPass pooled = stackPass(threads, batch);
+      EXPECT_TRUE(bitIdentical(serial.outs, pooled.outs))
+          << threads << " threads, batch " << batch;
+      EXPECT_TRUE(bitIdentical(serial.dXs, pooled.dXs))
+          << threads << " threads, batch " << batch;
+      EXPECT_TRUE(bitIdentical(serial.grads, pooled.grads))
+          << threads << " threads, batch " << batch;
+      EXPECT_EQ(serial.nextDraw, pooled.nextDraw)
+          << threads << " threads, batch " << batch;
+    }
   }
 }
 
@@ -421,23 +446,24 @@ std::string thrownMessage(const Pass& pass) {
 /// for a forward with a bad input at step 2 and then a backward with a bad
 /// gradient at step 2; after both it must still run a clean pass. With
 /// three layers the middle one stops on its predecessor's failure without
-/// throwing, and the top one must still be released.
+/// throwing, and the top one must still be released. Its 5 rows make 2
+/// row blocks per layer on 4 threads and 4 on 8.
 std::vector<std::string> wavefrontFailures(std::size_t layers,
                                            std::size_t threads) {
   rfp::common::ThreadPool::setGlobalThreads(threads);
   rfp::common::Rng rng(33);
   StackedLstm stack("s", 3, 4, layers, 0.5, rng);
   rfp::common::Rng dataRng(34);
-  const auto xs = randomSequence(5, 2, 3, dataRng);
-  const auto dHs = randomSequence(5, 2, 4, dataRng);
+  const auto xs = randomSequence(5, 5, 3, dataRng);
+  const auto dHs = randomSequence(5, 5, 4, dataRng);
   rfp::common::Rng dropRng(35);
   stack.forward(xs, true, dropRng);
   stack.backward(dHs);
 
   auto badXs = xs;
-  badXs[2] = Matrix(2, 7);
+  badXs[2] = Matrix(5, 7);
   auto badDHs = dHs;
-  badDHs[2] = Matrix(2, 9);
+  badDHs[2] = Matrix(5, 9);
   std::vector<std::string> messages;
   messages.push_back(
       thrownMessage([&] { stack.forward(badXs, true, dropRng); }));
@@ -455,7 +481,7 @@ TEST(StackedLstm, WavefrontThrowsTheSerialExceptionWithoutHanging) {
     ASSERT_EQ(serial.size(), 2u);
     EXPECT_NE(serial[0], "") << layers;
     EXPECT_NE(serial[1], "") << layers;
-    for (std::size_t threads : {2ul, 4ul}) {
+    for (std::size_t threads : {2ul, 4ul, 8ul}) {
       // A waiting layer that missed its hand-off would block forever, and
       // the blocked pool could never be joined: end the process so a hang
       // fails here rather than at the suite timeout.
@@ -480,15 +506,16 @@ struct BiLstmPass {
 };
 
 /// A fresh BiLstm's outputs, input gradients and parameter gradients from
-/// its second pass on a pool of \p threads: the first pass at a shape runs
-/// the directions inline, so only later passes run them as pool tasks.
-BiLstmPass biLstmPass(std::size_t threads) {
+/// its second pass at \p batch rows on a pool of \p threads: the first
+/// pass at a shape runs the lanes inline, later passes run each
+/// (direction, row block) pair as a pool lane.
+BiLstmPass biLstmPass(std::size_t threads, std::size_t batch) {
   rfp::common::ThreadPool::setGlobalThreads(threads);
   rfp::common::Rng rng(23);
   BiLstm bi("b", 6, 16, rng);
   rfp::common::Rng dataRng(24);
-  const auto xs = randomSequence(9, 8, 6, dataRng);
-  const auto dHs = randomSequence(9, 8, 32, dataRng);
+  const auto xs = randomSequence(9, batch, 6, dataRng);
+  const auto dHs = randomSequence(9, batch, 32, dataRng);
   BiLstmPass out;
   for (int pass = 0; pass < 2; ++pass) {
     zeroGradients(bi.parameters());
@@ -501,30 +528,60 @@ BiLstmPass biLstmPass(std::size_t threads) {
 }
 
 TEST(BiLstm, BitIdenticalAcrossThreadCounts) {
-  const BiLstmPass serial = biLstmPass(1);
-  ASSERT_EQ(serial.grads.size(), 6u);
-  for (std::size_t threads : {2ul, 4ul}) {
-    const BiLstmPass pooled = biLstmPass(threads);
-    EXPECT_TRUE(bitIdentical(serial.outs, pooled.outs)) << threads;
-    EXPECT_TRUE(bitIdentical(serial.dXs, pooled.dXs)) << threads;
-    EXPECT_TRUE(bitIdentical(serial.grads, pooled.grads)) << threads;
+  for (std::size_t batch : {1ul, 3ul, 8ul, 17ul}) {
+    const BiLstmPass serial = biLstmPass(1, batch);
+    ASSERT_EQ(serial.grads.size(), 6u);
+    for (std::size_t threads : {2ul, 4ul, 8ul}) {
+      const BiLstmPass pooled = biLstmPass(threads, batch);
+      EXPECT_TRUE(bitIdentical(serial.outs, pooled.outs))
+          << threads << " threads, batch " << batch;
+      EXPECT_TRUE(bitIdentical(serial.dXs, pooled.dXs))
+          << threads << " threads, batch " << batch;
+      EXPECT_TRUE(bitIdentical(serial.grads, pooled.grads))
+          << threads << " threads, batch " << batch;
+    }
   }
 }
 
-TEST(BiLstm, PooledPassThrowsTheSerialException) {
-  rfp::common::ThreadPool::setGlobalThreads(4);
+/// The messages a sized BiLstm throws on a pool of \p threads for a
+/// forward with a bad input at step 2, a backward whose gradient at step 2
+/// has too few rows, and a backward one step longer than its forward;
+/// after each it must still run a clean pass. Its 5 rows make 2 row blocks
+/// per direction on 4 threads and 4 on 8, so the first two fail inside
+/// row-block lanes.
+std::vector<std::string> biLstmFailures(std::size_t threads) {
+  rfp::common::ThreadPool::setGlobalThreads(threads);
   rfp::common::Rng rng(25);
   BiLstm bi("b", 3, 4, rng);
   rfp::common::Rng dataRng(26);
-  const auto xs = randomSequence(5, 2, 3, dataRng);
-  const auto dHs = randomSequence(5, 2, 8, dataRng);
+  const auto xs = randomSequence(5, 5, 3, dataRng);
+  const auto dHs = randomSequence(5, 5, 8, dataRng);
   bi.forward(xs);
   bi.backward(dHs);
-  // A shorter forward leaves dHs one step too long for both directions;
-  // backward's shape is unchanged, so the directions run as pool tasks.
-  bi.forward(randomSequence(4, 2, 3, dataRng));
-  EXPECT_THROW(bi.backward(dHs), std::invalid_argument);
+
+  auto badXs = xs;
+  badXs[2] = Matrix(5, 7);
+  auto badDHs = dHs;
+  badDHs[2] = Matrix(4, 8);
+  std::vector<std::string> messages;
+  messages.push_back(thrownMessage([&] { bi.forward(badXs); }));
+  bi.forward(xs);
+  messages.push_back(thrownMessage([&] { bi.backward(badDHs); }));
+  bi.forward(randomSequence(4, 5, 3, dataRng));
+  messages.push_back(thrownMessage([&] { bi.backward(dHs); }));
+  bi.forward(xs);
+  bi.backward(dHs);
   rfp::common::ThreadPool::setGlobalThreads(0);
+  return messages;
+}
+
+TEST(BiLstm, PooledPassThrowsTheSerialException) {
+  const std::vector<std::string> serial = biLstmFailures(1);
+  ASSERT_EQ(serial.size(), 3u);
+  for (const std::string& message : serial) EXPECT_NE(message, "");
+  for (std::size_t threads : {2ul, 4ul, 8ul}) {
+    EXPECT_EQ(biLstmFailures(threads), serial) << threads;
+  }
 }
 
 }  // namespace
